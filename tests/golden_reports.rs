@@ -1,18 +1,28 @@
 //! Byte-identity pins of the serving and training reports against
 //! golden JSON fixtures.
 //!
-//! The serving fixtures were captured at the commit *before* paged KV,
-//! prefix caching, and pluggable schedulers landed; the training and
-//! sweep fixtures at the commit *before* the composable resilience
-//! stack (tiered checkpoints, failure processes, elastic training)
-//! landed. The pre-existing regimes — `KvSpec::reserved()` + FIFO on
-//! the serving side, a plain `--mtbf`/`--restart` exponential spec on
-//! the training side — must keep emitting byte-identical reports: the
-//! new sections are *omitted* (not `null`) when absent, which requires
-//! the hand-written `Serialize` impls in `optimus-serve` and
-//! `optimus-train` to stay in sync with their structs. Each test
-//! replays the exact CLI invocation that produced its fixture
-//! in-process and compares the pretty JSON byte-for-byte.
+//! Two families of fixtures live in `tests/golden/`:
+//!
+//! * **Absent-section fixtures.** The serving fixtures were captured at
+//!   the commit *before* paged KV, prefix caching, and pluggable
+//!   schedulers landed; the training and sweep fixtures at the commit
+//!   *before* the composable resilience stack (tiered checkpoints,
+//!   failure processes, elastic training) landed. The pre-existing
+//!   regimes — `KvSpec::reserved()` + FIFO on the serving side, a plain
+//!   `--mtbf`/`--restart` exponential spec on the training side — must
+//!   keep emitting byte-identical reports: the newer sections are
+//!   *omitted* (not `null`) when absent.
+//! * **Present-section fixtures** (`*_paged*`, `*_weibull*`,
+//!   `*_stack*`), captured at commit `2163a61`, pin the other side of
+//!   the same field attributes: a paged `priority` serve report carries
+//!   `scheduler` and `paging`, a paged fleet its merged `paging`, a
+//!   Weibull fleet its `FaultSpec.process`, and a fully stacked training
+//!   report every `CheckpointSpec` extension plus the `process`,
+//!   `tiers`, `repair_frac` and `elastic` resilience sections.
+//!
+//! Each test replays the exact invocation that produced its fixture
+//! in-process, compares the pretty JSON byte-for-byte, and checks that
+//! parsing the fixture and re-serializing it gives the fixture back.
 
 use optimus::hw::presets;
 use optimus::memory::RecomputeMode;
@@ -20,12 +30,33 @@ use optimus::model::presets as models;
 use optimus::prelude::{
     CheckpointSpec, Parallelism, PipelineSchedule, TrainingConfig, TrainingEstimator,
 };
+use optimus::prelude::{CheckpointTier, FailureProcess};
 use optimus_serve::{
-    simulate, simulate_fleet, ArrivalProcess, FaultSpec, FleetConfig, LengthDist, RouterPolicy,
-    ServeConfig, TraceSpec,
+    simulate, simulate_fleet, ArrivalProcess, FaultSpec, FleetConfig, KvSpec, LengthDist,
+    PrefixSpec, RouterPolicy, Scheduler, ServeConfig, TraceSpec,
 };
 use optimus_sweep::{SweepEngine, SweepSpace, Workload};
+use serde::de::DeserializeOwned;
+use serde::Serialize;
 use std::sync::Arc;
+
+/// Asserts that `report` serializes byte-for-byte to `tests/golden/{fixture}`
+/// and that the fixture survives a parse / re-serialize round trip.
+fn assert_golden<T: Serialize + DeserializeOwned>(report: &T, fixture: &str) {
+    let path = format!("{}/tests/golden/{fixture}", env!("CARGO_MANIFEST_DIR"));
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    assert_eq!(
+        serde_json::to_string_pretty(report).unwrap(),
+        golden,
+        "report JSON drifted from the {fixture} fixture"
+    );
+    let back: T = serde_json::from_str(&golden).unwrap();
+    assert_eq!(
+        serde_json::to_string_pretty(&back).unwrap(),
+        golden,
+        "the {fixture} fixture does not survive a JSON round trip"
+    );
+}
 
 fn trace(
     seed: u64,
@@ -62,11 +93,7 @@ fn reserved_serve_report_is_byte_identical_to_the_pre_paging_fixture() {
         &trace(13, 40, 8.0, (50, 200), (2, 24)),
     )
     .unwrap();
-    assert_eq!(
-        serde_json::to_string_pretty(&report).unwrap(),
-        include_str!("golden/serve_reserved.json"),
-        "default-regime ServeReport JSON drifted from the pre-paging fixture"
-    );
+    assert_golden(&report, "serve_reserved.json");
 }
 
 /// `serve --model llama2-7b --tp 1 --replicas 3 --router
@@ -87,11 +114,7 @@ fn reserved_fleet_report_is_byte_identical_to_the_pre_paging_fixture() {
         &trace(17, 60, 24.0, (50, 200), (2, 24)),
     )
     .unwrap();
-    assert_eq!(
-        serde_json::to_string_pretty(&report).unwrap(),
-        include_str!("golden/fleet_reserved.json"),
-        "default-regime FleetReport JSON drifted from the pre-paging fixture"
-    );
+    assert_golden(&report, "fleet_reserved.json");
 }
 
 /// `serve --model llama2-7b --tp 1 --replicas 2 --requests 50 --rate 20
@@ -115,11 +138,7 @@ fn faulted_fleet_report_is_byte_identical_to_the_pre_paging_fixture() {
         &trace(23, 50, 20.0, (50, 150), (2, 16)),
     )
     .unwrap();
-    assert_eq!(
-        serde_json::to_string_pretty(&report).unwrap(),
-        include_str!("golden/fleet_faulted.json"),
-        "faulted FleetReport JSON drifted from the pre-paging fixture"
-    );
+    assert_golden(&report, "fleet_faulted.json");
 }
 
 /// `train --model llama2-13b --cluster a100-hdr --batch 64 --seq 2048
@@ -137,11 +156,7 @@ fn basic_resilience_train_report_is_byte_identical_to_the_pre_stack_fixture() {
         .with_checkpoint(CheckpointSpec::with_mtbf(50_000_000.0).with_restart(300.0))
         .estimate(&cfg)
         .unwrap();
-    assert_eq!(
-        serde_json::to_string_pretty(&report).unwrap(),
-        include_str!("golden/train_resilience.json"),
-        "basic-spec TrainingReport JSON drifted from the pre-stack fixture"
-    );
+    assert_golden(&report, "train_resilience.json");
 }
 
 /// `sweep --model llama2-13b --cluster a100-hdr --workload train
@@ -162,9 +177,118 @@ fn basic_resilience_sweep_frontier_is_byte_identical_to_the_pre_stack_fixture() 
             &workload,
             &SweepSpace::power_of_two(64),
         );
-    assert_eq!(
-        serde_json::to_string_pretty(&report.frontier).unwrap(),
-        include_str!("golden/sweep_resilience_frontier.json"),
-        "basic-spec sweep frontier JSON drifted from the pre-stack fixture"
+    assert_golden(&report.frontier, "sweep_resilience_frontier.json");
+}
+
+/// `serve --model llama2-7b --tp 1 --kv-block 16 --scheduler priority
+/// --priority-classes 3 --prefix-tokens 64 --prefix-pool 4
+/// --prefix-rate 0.6 --requests 60 --rate 30 --prompt 100:400
+/// --output 8:48 --seed 29 --json`
+#[test]
+fn paged_priority_serve_report_is_byte_identical_to_the_fixture() {
+    let mut spec = trace(29, 60, 30.0, (100, 400), (8, 48));
+    spec.priority_classes = 3;
+    spec.prefixes = Some(PrefixSpec {
+        pool: 4,
+        tokens: 64,
+        rate: 0.6,
+    });
+    let config = ServeConfig::new(1)
+        .with_kv(KvSpec::paged(16))
+        .with_scheduler(Scheduler::Priority);
+    let report = simulate(
+        &presets::dgx_a100_hdr_cluster(),
+        Arc::new(models::llama2_7b()),
+        &config,
+        &spec,
+    )
+    .unwrap();
+    assert!(report.scheduler.is_some() && report.paging.is_some());
+    assert_golden(&report, "serve_paged_priority.json");
+}
+
+/// `serve --model llama2-13b --tp 1 --replicas 2 --router
+/// least-outstanding --kv-block 32 --requests 80 --rate 40
+/// --prompt 1000:3000 --output 200:800 --seed 31 --json` — overloaded
+/// enough that both replicas fill their block pools and preempt.
+#[test]
+fn paged_fleet_report_is_byte_identical_to_the_fixture() {
+    let config = FleetConfig {
+        replicas: 2,
+        router: RouterPolicy::LeastOutstanding,
+        replica: ServeConfig::new(1).with_kv(KvSpec::paged(32)),
+        faults: FaultSpec::none(),
+    };
+    let report = simulate_fleet(
+        &presets::dgx_a100_hdr_cluster(),
+        Arc::new(models::llama2_13b()),
+        &config,
+        &trace(31, 80, 40.0, (1000, 3000), (200, 800)),
+    )
+    .unwrap();
+    assert!(report.paging.is_some_and(|p| p.preemptions > 0) && report.faults.is_none());
+    assert_golden(&report, "fleet_paged.json");
+}
+
+/// `serve --model llama2-7b --tp 1 --replicas 2 --requests 50 --rate 20
+/// --prompt 50:150 --output 2:16 --seed 37 --mtbf 6 --mttr 2
+/// --failure-process weibull:0.7 --fault-seed 5 --json`
+#[test]
+fn weibull_fleet_report_is_byte_identical_to_the_fixture() {
+    let faults = FaultSpec::crashes(5, 6.0, 2.0)
+        .with_process(FailureProcess::Weibull { shape: 0.7 });
+    let config = FleetConfig {
+        replicas: 2,
+        router: RouterPolicy::RoundRobin,
+        replica: ServeConfig::new(1),
+        faults,
+    };
+    let report = simulate_fleet(
+        &presets::dgx_a100_hdr_cluster(),
+        Arc::new(models::llama2_7b()),
+        &config,
+        &trace(37, 50, 20.0, (50, 150), (2, 16)),
+    )
+    .unwrap();
+    assert!(report.faults.as_ref().is_some_and(|f| !f.process.is_exponential()));
+    assert_golden(&report, "fleet_weibull.json");
+}
+
+/// `train --model llama2-13b --cluster a100-hdr --batch 64 --seq 2048
+/// --dp 8 --tp 8 --sp --mtbf 50000 --restart 300
+/// --failure-process weibull:0.7 --checkpoint-tiers peer,delta
+/// --delta-frac 0.1 --elastic --rewarm 60 --repair 600
+/// --checkpoint-util 0.5 --json`, plus a rework seed of 7 (a library-only
+/// knob): every `CheckpointSpec` extension away from its default.
+#[test]
+fn stacked_resilience_train_report_is_byte_identical_to_the_fixture() {
+    let cfg = TrainingConfig::new(
+        models::llama2_13b(),
+        64,
+        2048,
+        Parallelism::new(8, 8, 1).with_sp(true),
+    )
+    .with_recompute(RecomputeMode::Selective);
+    let spec = CheckpointSpec::with_mtbf(50_000.0)
+        .with_restart(300.0)
+        .with_process(FailureProcess::Weibull { shape: 0.7 })
+        .with_tiers(vec![CheckpointTier::peer(), CheckpointTier::delta()])
+        .with_delta_fraction(0.1)
+        .with_elastic(true)
+        .with_rewarm(60.0)
+        .with_repair(600.0)
+        .with_overhead_util(0.5)
+        .with_seed(7);
+    let report = TrainingEstimator::new(&presets::dgx_a100_hdr_cluster())
+        .with_checkpoint(spec)
+        .estimate(&cfg)
+        .unwrap();
+    let resilience = report.resilience.as_ref().unwrap();
+    assert!(
+        resilience.process.is_some()
+            && resilience.tiers.is_some()
+            && resilience.repair_frac.is_some()
+            && resilience.elastic.is_some()
     );
+    assert_golden(&report, "train_resilience_stack.json");
 }
