@@ -11,24 +11,13 @@ use optimus_sweep::{render_frontier, render_table, SweepEngine, SweepSpace, Work
 ///
 /// Returns [`ArgError`] listing the known names on a miss.
 pub fn model_preset(name: &str) -> Result<ModelConfig, ArgError> {
-    use optimus::model::presets as p;
-    let key = name.to_lowercase().replace('_', "-");
-    Ok(match key.as_str() {
-        "gpt-7b" => p::gpt_7b(),
-        "gpt-22b" => p::gpt_22b(),
-        "gpt-175b" => p::gpt_175b(),
-        "gpt-310b" => p::gpt_310b(),
-        "gpt-530b" => p::gpt_530b(),
-        "gpt-1008b" | "gpt-1t" => p::gpt_1008b(),
-        "llama2-7b" => p::llama2_7b(),
-        "llama2-13b" => p::llama2_13b(),
-        "llama2-70b" => p::llama2_70b(),
-        _ => {
-            return Err(ArgError(format!(
-                "unknown model `{name}`; try one of: gpt-7b, gpt-22b, gpt-175b, gpt-310b, \
-                 gpt-530b, gpt-1008b, llama2-7b, llama2-13b, llama2-70b"
-            )))
-        }
+    use optimus::model::presets;
+    presets::by_name(name).ok_or_else(|| {
+        let known: Vec<&str> = presets::NAMED.iter().map(|(preset, _)| *preset).collect();
+        ArgError(format!(
+            "unknown model `{name}`; try one of: {}",
+            known.join(", ")
+        ))
     })
 }
 
@@ -1234,12 +1223,8 @@ pub fn sweep(args: &Args) -> Result<String, ArgError> {
 #[must_use]
 pub fn list() -> String {
     let mut out = String::from("models:\n");
-    for m in optimus::model::presets::gpt_family()
-        .into_iter()
-        .chain([optimus::model::presets::gpt_7b()])
-        .chain(optimus::model::presets::llama2_family())
-    {
-        out.push_str(&format!("  {m}\n"));
+    for (_, build) in optimus::model::presets::NAMED {
+        out.push_str(&format!("  {}\n", build()));
     }
     out.push_str("\nclusters:\n");
     for name in [

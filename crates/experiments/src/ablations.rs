@@ -2,7 +2,6 @@
 //! attention implementation, collective algorithm, pipeline schedule, and
 //! the DRAM-utilization model.
 
-use crate::util::model_by_name;
 use optimus::collective::{Collective, CommModel};
 use optimus::hw::{presets, DeviceCalibration};
 use optimus::memory::{training_memory, RecomputeMode, TrainingMemorySpec};
@@ -39,7 +38,7 @@ impl FlashRow {
 pub fn flash_attention() -> Vec<FlashRow> {
     let device = presets::a100_sxm_80gb();
     let roofline = RooflineModel::new(&device);
-    let model = model_by_name("GPT-7B");
+    let model = model::presets::gpt_7b();
 
     [2048usize, 4096, 8192, 16384, 32768]
         .into_iter()
@@ -122,7 +121,7 @@ pub struct ScheduleRow {
 #[must_use]
 pub fn schedules() -> Vec<ScheduleRow> {
     let cluster = presets::dgx_a100_hdr_cluster();
-    let model = model_by_name("GPT-175B");
+    let model = model::presets::gpt_175b();
     let parallelism = Parallelism::new(1, 8, 8);
     [
         PipelineSchedule::GPipe,
@@ -193,7 +192,10 @@ pub fn dram_utilization_modes() -> Vec<UtilizationRow> {
         let cluster = presets::single_node_cluster("ablate", node);
         let mut err = 0.0;
         for row in &rows {
-            let cfg = InferenceConfig::nvidia_llama_benchmark(model_by_name(row.model), row.tp);
+            let cfg = InferenceConfig::nvidia_llama_benchmark(
+                model::presets::by_name(row.model).expect("refdata names a preset"),
+                row.tp,
+            );
             let pred = InferenceEstimator::new(&cluster)
                 .estimate(&cfg)
                 .expect("fp16")

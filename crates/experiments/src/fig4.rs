@@ -2,7 +2,6 @@
 //! activation-recomputation strategies (Table 1 configurations, mixed
 //! precision, A100 80 GB reference line).
 
-use crate::util::model_by_name;
 use optimus::memory::{training_memory, RecomputeMode, TrainingMemorySpec};
 use optimus::prelude::*;
 
@@ -56,7 +55,7 @@ pub fn run() -> Vec<Bar> {
     ];
     let mut bars = Vec::new();
     for (model_name, batch, parallelism) in configs() {
-        let model = model_by_name(model_name);
+        let model = model::presets::by_name(model_name).expect("Table 1 names presets");
         for (label, mode) in modes {
             let report = training_memory(
                 &model,

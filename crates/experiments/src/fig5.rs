@@ -6,7 +6,6 @@
 //! transformer engine), FP4 on B200. "L" points use the enlarged batch
 //! (4096) the bigger DRAM affords.
 
-use crate::util::model_by_name;
 use optimus::hw::presets;
 use optimus::memory::RecomputeMode;
 use optimus::prelude::*;
@@ -92,7 +91,7 @@ fn configs() -> Vec<Config> {
 #[must_use]
 pub fn run() -> Vec<Bar> {
     let case = refdata::case_gpt175b();
-    let model = model_by_name(case.model);
+    let model = model::presets::by_name(case.model).expect("refdata names a preset");
     let paper = refdata::fig5_series();
 
     let mut raw = Vec::new();

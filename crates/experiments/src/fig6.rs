@@ -2,7 +2,6 @@
 //! (N12…N1) for four HBM generations and three inter-node networks,
 //! with the micro-architecture DSE-optimized at every node (§5.3).
 
-use crate::util::model_by_name;
 use optimus::dse::{GradientDescent, SearchSpace};
 use optimus::hw::memtech::DramTechnology;
 use optimus::hw::nettech::{self, NvlinkGen};
@@ -58,7 +57,7 @@ fn cluster_for(accelerator: optimus::hw::Accelerator, network_gbps: f64) -> Clus
 fn objective_time(cluster: &ClusterSpec) -> f64 {
     let case = refdata::case_gpt7b();
     let cfg = TrainingConfig::new(
-        model_by_name(case.model),
+        model::presets::by_name(case.model).expect("refdata names a preset"),
         case.batch,
         case.seq,
         case.parallelism(),

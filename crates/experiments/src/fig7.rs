@@ -2,7 +2,6 @@
 //! compute-bound components across technology nodes, for HBM2/3/4
 //! (extracted from the Fig. 6 sweep at the 100 GB/s network point).
 
-use crate::util::model_by_name;
 use optimus::hw::memtech::DramTechnology;
 use optimus::hw::nettech::{self, NvlinkGen};
 use optimus::hw::{ClusterSpec, NodeSpec};
@@ -56,7 +55,7 @@ pub fn panels() -> [DramTechnology; 3] {
 pub fn run() -> Vec<Bar> {
     let engine = UArchEngine::a100_at_n7();
     let case = refdata::case_gpt7b();
-    let model = model_by_name(case.model);
+    let model = model::presets::by_name(case.model).expect("refdata names a preset");
     let mut bars = Vec::new();
     for hbm in panels() {
         for &node in TechNode::all() {

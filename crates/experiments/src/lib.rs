@@ -25,7 +25,7 @@ pub mod tco;
 
 mod util;
 
-pub use util::{markdown_table, model_by_name, write_csv};
+pub use util::{markdown_table, write_csv};
 
 /// Runs every experiment and writes its CSV into `dir`.
 ///

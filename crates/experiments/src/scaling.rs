@@ -3,7 +3,6 @@
 //! trend) and the inference batch sweep behind §6.1's
 //! throughput-vs-latency statement.
 
-use crate::util::model_by_name;
 use optimus::memory::RecomputeMode;
 use optimus::prelude::*;
 
@@ -28,7 +27,7 @@ pub struct StrongScalingRow {
 #[must_use]
 pub fn training_strong_scaling() -> Vec<StrongScalingRow> {
     let cluster = hw::presets::dgx_a100_hdr_cluster();
-    let model = model_by_name("GPT-22B");
+    let model = model::presets::gpt_22b();
     // Grow DP while TP stays in-node and PP covers the 48 layers.
     let configs: Vec<Parallelism> = vec![
         Parallelism::new(1, 8, 1),
@@ -84,7 +83,7 @@ pub fn inference_batch_sweep() -> Vec<BatchSweepRow> {
     [1usize, 2, 4, 8, 16, 32]
         .into_iter()
         .map(|batch| {
-            let cfg = InferenceConfig::new(model_by_name("Llama2-13B"), batch, 200, 200, 1);
+            let cfg = InferenceConfig::new(model::presets::llama2_13b(), batch, 200, 200, 1);
             let r = est.estimate(&cfg).expect("fp16");
             BatchSweepRow {
                 batch,

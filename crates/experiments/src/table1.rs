@@ -1,6 +1,5 @@
 //! Table 1: validation of training time per batch on A100 systems.
 
-use crate::util::model_by_name;
 use optimus::prelude::*;
 use optimus::refdata::{self, Table1Row};
 use optimus::relative_error_percent;
@@ -25,7 +24,7 @@ pub fn run() -> Vec<Row> {
         .into_iter()
         .map(|reference| {
             let cfg = TrainingConfig::new(
-                model_by_name(reference.model),
+                model::presets::by_name(reference.model).expect("refdata names a preset"),
                 reference.batch,
                 2048,
                 reference.parallelism(),

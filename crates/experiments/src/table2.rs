@@ -1,6 +1,5 @@
 //! Table 2: validation of inference latency on A100 and H100 systems.
 
-use crate::util::model_by_name;
 use optimus::prelude::*;
 use optimus::refdata::{self, Table2Row};
 use optimus::relative_error_percent;
@@ -29,7 +28,7 @@ pub fn run() -> Vec<Row> {
         .into_iter()
         .map(|reference| {
             let cfg = InferenceConfig::nvidia_llama_benchmark(
-                model_by_name(reference.model),
+                model::presets::by_name(reference.model).expect("refdata names a preset"),
                 reference.tp,
             );
             let a = InferenceEstimator::new(&a100)

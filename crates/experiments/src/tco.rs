@@ -1,7 +1,6 @@
 //! Performance-per-TCO study — the paper's §7 future work, implemented:
 //! compare GPU generations on cost per unit of training/inference work.
 
-use crate::util::model_by_name;
 use optimus::energy::{CostModel, EnergyModel};
 use optimus::memory::RecomputeMode;
 use optimus::prelude::*;
@@ -60,7 +59,7 @@ pub fn training() -> Vec<TrainingTcoRow> {
             CostModel::b200_system(),
         ),
     ];
-    let model = model_by_name("GPT-175B");
+    let model = model::presets::gpt_175b();
     let parallelism = Parallelism::new(4, 8, 2).with_sp(true);
     let gpus = parallelism.total_gpus();
     let batch = 256;

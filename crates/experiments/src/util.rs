@@ -49,28 +49,6 @@ pub fn write_csv(path: impl AsRef<Path>, rows: &[Vec<String>]) -> std::io::Resul
     Ok(())
 }
 
-/// Looks up a model preset by the name used in `refdata`.
-///
-/// # Panics
-///
-/// Panics on an unknown name (refdata and presets are maintained together).
-#[must_use]
-pub fn model_by_name(name: &str) -> optimus::model::ModelConfig {
-    use optimus::model::presets as p;
-    match name {
-        "GPT-7B" => p::gpt_7b(),
-        "GPT-22B" => p::gpt_22b(),
-        "GPT-175B" => p::gpt_175b(),
-        "GPT-310B" => p::gpt_310b(),
-        "GPT-530B" => p::gpt_530b(),
-        "GPT-1008B" => p::gpt_1008b(),
-        "Llama2-7B" => p::llama2_7b(),
-        "Llama2-13B" => p::llama2_13b(),
-        "Llama2-70B" => p::llama2_70b(),
-        other => panic!("unknown model preset `{other}`"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,11 +66,12 @@ mod tests {
 
     #[test]
     fn all_refdata_models_resolve() {
+        use optimus::model::presets::by_name;
         for row in optimus::refdata::table1() {
-            let _ = model_by_name(row.model);
+            assert!(by_name(row.model).is_some(), "{}", row.model);
         }
         for row in optimus::refdata::table2() {
-            let _ = model_by_name(row.model);
+            assert!(by_name(row.model).is_some(), "{}", row.model);
         }
     }
 }

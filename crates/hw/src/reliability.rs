@@ -160,6 +160,15 @@ impl core::fmt::Display for FailureProcess {
     }
 }
 
+/// Whether `value` equals its type's default — the
+/// `#[serde(skip_serializing_if = "is_default")]` predicate of the
+/// failure specs (`optimus-train`'s `CheckpointSpec`, `optimus-serve`'s
+/// `FaultSpec`), whose optional extensions are omitted at their defaults.
+#[must_use]
+pub fn is_default<T: Default + PartialEq>(value: &T) -> bool {
+    *value == T::default()
+}
+
 /// The splitmix64 finalizer: a cheap, high-quality 64-bit mixer used to
 /// derive independent RNG streams from a base seed. Every seeded
 /// simulation in the workspace (serving fault streams, training rework

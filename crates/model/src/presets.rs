@@ -81,6 +81,44 @@ pub fn llama2_70b() -> ModelConfig {
         .build()
 }
 
+/// A preset's constructor.
+pub type Preset = fn() -> ModelConfig;
+
+/// Every preset under its canonical name — the lowercase, hyphenated
+/// form [`by_name`] matches — GPT then Llama-2, each in ascending size.
+pub const NAMED: [(&str, Preset); 9] = [
+    ("gpt-7b", gpt_7b),
+    ("gpt-22b", gpt_22b),
+    ("gpt-175b", gpt_175b),
+    ("gpt-310b", gpt_310b),
+    ("gpt-530b", gpt_530b),
+    ("gpt-1008b", gpt_1008b),
+    ("llama2-7b", llama2_7b),
+    ("llama2-13b", llama2_13b),
+    ("llama2-70b", llama2_70b),
+];
+
+/// Looks a preset up by name, ignoring case and treating `_` as `-`, so
+/// the paper's `"Llama2-13B"` and the CLI's `llama2_13b` or `llama2-13b`
+/// all resolve; `gpt-1t` is an alias of `gpt-1008b`.
+///
+/// ```
+/// use optimus_model::presets;
+///
+/// assert_eq!(presets::by_name("GPT-175B"), Some(presets::gpt_175b()));
+/// assert_eq!(presets::by_name("gpt_1t"), Some(presets::gpt_1008b()));
+/// assert_eq!(presets::by_name("gpt-2"), None);
+/// ```
+#[must_use]
+pub fn by_name(name: &str) -> Option<ModelConfig> {
+    let key = name.to_lowercase().replace('_', "-");
+    let key = if key == "gpt-1t" { "gpt-1008b" } else { &key };
+    NAMED
+        .iter()
+        .find(|(preset, _)| *preset == key)
+        .map(|(_, build)| build())
+}
+
 /// All GPT presets used in Table 1, in ascending size.
 #[must_use]
 pub fn gpt_family() -> Vec<ModelConfig> {

@@ -42,7 +42,7 @@ struct Slot {
     prefill_dur_s: f64,
     first_token_s: f64,
     reserved: Bytes,
-    // Paged-mode state (all zero on the legacy reserved path).
+    // Paged-mode state (all zero under reserved KV).
     /// Prompt tokens the next prefill actually prices (the full prompt,
     /// minus any resident shared-prefix blocks skipped on a cache hit).
     prefill_tokens: usize,
@@ -158,6 +158,16 @@ struct PrefixEntry {
     last_use: usize,
 }
 
+/// The outcome of one fresh-admission attempt.
+enum Admission {
+    /// KV allocated; the request awaits its prefill.
+    Admitted,
+    /// The memory is not there yet.
+    Blocked,
+    /// The request could never run on this replica, not even alone.
+    Rejected,
+}
+
 /// One replica's resumable scheduler state. See the module docs for the
 /// batch/stepped driving modes.
 pub(crate) struct ReplicaEngine<'i, 'a> {
@@ -219,10 +229,6 @@ pub(crate) struct ReplicaEngine<'i, 'a> {
     requeued: Vec<(Request, f64)>,
 
     // --- paged-KV / scheduler state -------------------------------------
-    // `legacy` is the reserved-KV + FIFO fast path: it runs the original
-    // cursor admission and plain decode verbatim (bitwise identity with
-    // pre-paging builds) and never touches anything below.
-    legacy: bool,
     paged: bool,
     scheduler: Scheduler,
     policy: PreemptPolicy,
@@ -230,8 +236,9 @@ pub(crate) struct ReplicaEngine<'i, 'a> {
     total_blocks: usize,
     used_blocks: usize,
     peak_blocks: usize,
-    // Arrived-but-unadmitted requests, reordered by the scheduler pick
-    // (the generalized replacement for the legacy admission cursor).
+    // Arrived-but-unadmitted requests of the reordering schedulers, which
+    // pick out of arrival order. FIFO admits straight from the cursor
+    // instead, so its backlog is never copied and this stays empty.
     pending: VecDeque<Request>,
     // Recompute-preempted slots waiting to re-prefill, FIFO.
     preempted: VecDeque<u32>,
@@ -272,7 +279,6 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         let config = instance.config();
         let paged = !config.kv.is_reserved();
         Self {
-            legacy: !paged && config.scheduler == Scheduler::Fifo,
             paged,
             scheduler: config.scheduler,
             policy: config.kv.policy,
@@ -378,10 +384,10 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
 
     /// Requests with **no compute yet**: routed but unadmitted (queued for
     /// KV space) plus admitted but still awaiting their prefill iteration.
-    /// On the generalized path, preempted and swapped-out victims count
-    /// too — they hold no device compute until re-admitted. After
-    /// `advance_to(t)`, this is exactly the waiting population a
-    /// join-shortest-queue router should see at time `t`.
+    /// Preempted and swapped-out victims count too — they hold no device
+    /// compute until re-admitted. After `advance_to(t)`, this is exactly
+    /// the waiting population a join-shortest-queue router should see at
+    /// time `t`.
     pub(crate) fn waiting(&self) -> usize {
         (self.trace.len() - self.admit_cursor)
             + self.queued_backlog()
@@ -389,10 +395,10 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             + self.awaiting_swapin.len()
     }
 
-    /// The generalized path's queued-but-unserved population beyond the
-    /// admission cursor: scheduler-queued requests plus preemption
-    /// victims awaiting re-admission. Zero on the legacy path, whose
-    /// backlog lives entirely behind `admit_cursor`.
+    /// The queued-but-unserved population beyond the admission cursor:
+    /// requests a reordering scheduler has queued plus preemption victims
+    /// awaiting re-admission. Zero under reserved-KV FIFO, whose backlog
+    /// lives entirely behind `admit_cursor`.
     fn queued_backlog(&self) -> usize {
         self.pending.len() + self.preempted.len() + self.swapped.len()
     }
@@ -419,42 +425,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             while self.arrived < self.trace.len() && self.eff[self.arrived] <= self.clock {
                 self.arrived += 1;
             }
-            if self.legacy {
-                while self.admit_cursor < self.arrived {
-                    let front = &self.trace[self.admit_cursor];
-                    let need = self.instance.reservation(front);
-                    if need > self.budget {
-                        // Could never be admitted, not even alone: drop it
-                        // rather than block every request behind it forever.
-                        self.rejected_ids.push(front.id);
-                        self.admit_cursor += 1;
-                        continue;
-                    }
-                    if self.reserved + need <= self.budget {
-                        self.reserved += need;
-                        self.kv_peak = self.kv_peak.max(self.reserved);
-                        let slot = Slot {
-                            request: *front,
-                            admitted_s: self.clock,
-                            prefill_dur_s: 0.0,
-                            first_token_s: 0.0,
-                            reserved: need,
-                            prefill_tokens: front.prompt,
-                            blocks: 0,
-                            shared_blocks: 0,
-                            generated: 0,
-                            due_ring: 0,
-                        };
-                        let idx = self.alloc_slot(slot);
-                        self.awaiting_prefill.push_back(idx);
-                        self.admit_cursor += 1;
-                    } else {
-                        break;
-                    }
-                }
-            } else {
-                self.admit_generalized();
-            }
+            self.admit();
             let pending_len = (self.arrived - self.admit_cursor) + self.queued_backlog();
 
             if self.awaiting_prefill.is_empty()
@@ -541,19 +512,21 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         }
     }
 
-    // --- generalized admission (paged KV and/or non-FIFO schedulers) ----
+    // --- admission ---------------------------------------------------------
 
-    /// The generalized admission round: ingest arrivals into the
-    /// scheduler queue, then hand free memory to (in order) swapped-out
+    /// One admission round: hand free memory to (in order) swapped-out
     /// victims, recompute victims, and finally fresh requests picked by
     /// the scheduler. Each stage is head-of-line blocked on its own
     /// queue, and victims outrank fresh admissions (the vLLM order,
     /// which keeps a victim's starvation bounded: it gets first claim on
     /// every block the batch that evicted it releases).
-    fn admit_generalized(&mut self) {
-        while self.admit_cursor < self.arrived {
-            self.pending.push_back(self.trace[self.admit_cursor]);
-            self.admit_cursor += 1;
+    #[inline]
+    fn admit(&mut self) {
+        if self.scheduler != Scheduler::Fifo {
+            while self.admit_cursor < self.arrived {
+                self.pending.push_back(self.trace[self.admit_cursor]);
+                self.admit_cursor += 1;
+            }
         }
         while let Some(&idx) = self.swapped.front() {
             if !self.stage_swap_in(idx) {
@@ -567,44 +540,64 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             }
             self.preempted.pop_front();
         }
-        while let Some(pos) = self.pick_pending() {
-            let request = self.pending[pos];
-            if !self.instance.admissible(&request) {
-                // Could never run, not even alone: drop it rather than
-                // block the queue forever (the legacy head rejection).
-                self.rejected_ids.push(request.id);
-                self.pending.remove(pos);
-                continue;
+        while let Some((request, pos)) = self.pick() {
+            match self.try_admit(&request) {
+                Admission::Admitted => {}
+                Admission::Blocked => break, // head-of-line: the pick waits
+                Admission::Rejected => {
+                    // Could never run, not even alone: drop it rather than
+                    // block the queue forever.
+                    self.rejected_ids.push(request.id);
+                }
             }
-            if !self.try_admit(&request) {
-                break; // head-of-line: the picked request waits
-            }
-            self.pending.remove(pos);
+            self.dequeue(pos);
         }
     }
 
-    /// The scheduler's pick: which queued request admits next. Ties
-    /// always break to the earliest-queued position, so FIFO through
-    /// this path reproduces the legacy cursor order exactly.
-    fn pick_pending(&self) -> Option<usize> {
-        match self.scheduler {
-            Scheduler::Fifo => (!self.pending.is_empty()).then_some(0),
+    /// The scheduler's pick: the queued request that admits next, with
+    /// its `pending` position. FIFO reads the arrival cursor in place
+    /// (position `None`); the reordering schedulers break ties to the
+    /// earliest-queued position.
+    #[inline]
+    fn pick(&self) -> Option<(Request, Option<usize>)> {
+        let pos = match self.scheduler {
+            Scheduler::Fifo => {
+                return (self.admit_cursor < self.arrived)
+                    .then(|| (self.trace[self.admit_cursor], None));
+            }
             Scheduler::Priority | Scheduler::PriorityPreempt => {
                 (0..self.pending.len()).min_by_key(|&i| self.pending[i].priority)
             }
             Scheduler::Sjf => (0..self.pending.len())
                 .min_by_key(|&i| self.pending[i].prompt + self.pending[i].output),
+        }?;
+        Some((self.pending[pos], Some(pos)))
+    }
+
+    /// Removes a picked request from its queue.
+    #[inline]
+    fn dequeue(&mut self, pos: Option<usize>) {
+        match pos {
+            Some(pos) => {
+                self.pending.remove(pos);
+            }
+            None => self.admit_cursor += 1,
         }
     }
 
     /// Tries to admit one fresh request, allocating its KV (full
-    /// reservation or prompt blocks, per the regime). `false` = the
-    /// memory is not there yet.
-    fn try_admit(&mut self, request: &Request) -> bool {
+    /// reservation or prompt blocks, per the regime). Rejects exactly the
+    /// requests [`ServeInstance::admissible`] rejects; the reserved test
+    /// is inlined so the reservation is priced once per attempt.
+    #[inline]
+    fn try_admit(&mut self, request: &Request) -> Admission {
         if !self.paged {
             let need = self.instance.reservation(request);
+            if need > self.budget {
+                return Admission::Rejected;
+            }
             if self.reserved + need > self.budget {
-                return false;
+                return Admission::Blocked;
             }
             self.reserved += need;
             self.kv_peak = self.kv_peak.max(self.reserved);
@@ -621,10 +614,13 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
                 due_ring: 0,
             });
             self.awaiting_prefill.push_back(idx);
-            return true;
+            return Admission::Admitted;
+        }
+        if !self.instance.admissible(request) {
+            return Admission::Rejected;
         }
         let Some((blocks, shared)) = self.alloc_prompt_blocks(request) else {
-            return false;
+            return Admission::Blocked;
         };
         let idx = self.alloc_slot(Slot {
             request: *request,
@@ -639,7 +635,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             due_ring: 0,
         });
         self.awaiting_prefill.push_back(idx);
-        true
+        Admission::Admitted
     }
 
     /// Tries to re-admit a recompute victim: its prompt's blocks are
@@ -843,9 +839,8 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
                 lost.push(self.slots[idx as usize].request);
             }
         }
-        // Generalized-path backlog: staged/parked preemption victims and
-        // the scheduler queue go back to the router too (all empty on the
-        // legacy path).
+        // Staged/parked preemption victims and the scheduler queue go back
+        // to the router too (all empty under reserved-KV FIFO).
         for &idx in self
             .awaiting_swapin
             .iter()

@@ -53,12 +53,12 @@
 //! `chaos_props.rs` — to leave the fleet path bit-identical to a
 //! fault-free simulation.
 
-use optimus_hw::reliability::weibull_scale;
+use optimus_hw::reliability::{is_default, weibull_scale};
 use optimus_hw::{ClusterSpec, FailureProcess};
 use rand::distributions::{Distribution, Exp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Distinguishes the per-replica random streams drawn from one fault
 /// seed.
@@ -130,7 +130,7 @@ pub enum DegradeMode {
 /// groups. The spec is `Clone`, comparable, and serializable; the
 /// degenerate [`FaultSpec::none`] encodes "no faults" (and the fleet path
 /// treats it as exactly the fault-free simulation).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultSpec {
     /// Seed of every fault process. Independent of the trace and router
     /// seeds; per-replica streams are derived from `(seed, replica)` and
@@ -159,7 +159,9 @@ pub struct FaultSpec {
     /// exponential). [`FailureProcess::Weibull`] with `k < 1` models
     /// infant mortality; `k = 1` routes through the exponential sampler
     /// bit-exactly. Rack-style correlation is expressed with `domains`,
-    /// so [`FailureProcess::RackCorrelated`] is rejected here.
+    /// so [`FailureProcess::RackCorrelated`] is rejected here. Omitted
+    /// from JSON when exponential.
+    #[serde(default, skip_serializing_if = "is_default")]
     pub process: FailureProcess,
 }
 
@@ -476,48 +478,6 @@ fn clipped_stats(windows: &[(f64, f64)], horizon_s: f64) -> (usize, f64) {
         .map(|&(crash, recover)| recover.min(horizon_s) - crash)
         .sum();
     (windows.len(), downtime)
-}
-
-impl Serialize for FaultSpec {
-    fn to_value(&self) -> Value {
-        // The eight pre-Weibull fields always serialize in their
-        // original order; `process` is omitted when exponential so
-        // existing fleet reports stay byte-identical.
-        let mut fields = vec![
-            ("seed".to_owned(), self.seed.to_value()),
-            ("mtbf_s".to_owned(), self.mtbf_s.to_value()),
-            ("mttr_s".to_owned(), self.mttr_s.to_value()),
-            ("straggler_frac".to_owned(), self.straggler_frac.to_value()),
-            ("straggler_mult".to_owned(), self.straggler_mult.to_value()),
-            ("degrade_mult".to_owned(), self.degrade_mult.to_value()),
-            ("degrade_mode".to_owned(), self.degrade_mode.to_value()),
-            ("domains".to_owned(), self.domains.to_value()),
-        ];
-        if self.process != FailureProcess::Exponential {
-            fields.push(("process".to_owned(), self.process.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for FaultSpec {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let mut spec = Self {
-            seed: u64::from_value(v.field_or_null("seed"))?,
-            mtbf_s: f64::from_value(v.field_or_null("mtbf_s"))?,
-            mttr_s: f64::from_value(v.field_or_null("mttr_s"))?,
-            straggler_frac: f64::from_value(v.field_or_null("straggler_frac"))?,
-            straggler_mult: f64::from_value(v.field_or_null("straggler_mult"))?,
-            degrade_mult: f64::from_value(v.field_or_null("degrade_mult"))?,
-            degrade_mode: DegradeMode::from_value(v.field_or_null("degrade_mode"))?,
-            domains: Vec::<FaultDomain>::from_value(v.field_or_null("domains"))?,
-            process: FailureProcess::Exponential,
-        };
-        if let Some(process) = v.get("process") {
-            spec.process = FailureProcess::from_value(process)?;
-        }
-        Ok(spec)
-    }
 }
 
 /// The splitmix64 finalizer: decorrelates the per-replica streams drawn

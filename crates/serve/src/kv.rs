@@ -124,9 +124,8 @@ impl core::fmt::Display for KvSpec {
 ///
 /// Every scheduler keeps head-of-line blocking: the *picked* request
 /// either admits or the queue waits — a lower-ranked request never
-/// admits past a blocked pick (which is what makes FIFO under this
-/// generalized queue identical to the legacy cursor admission,
-/// float-for-float).
+/// admits past a blocked pick. FIFO's pick is simply the oldest arrival,
+/// read in place at the engine's admission cursor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Serialize, Deserialize)]
 pub enum Scheduler {
     /// Earliest arrival first — the legacy (and vLLM default) order.

@@ -3,7 +3,7 @@
 
 use crate::{PagingReport, Scheduler};
 use optimus_units::{Bytes, Time};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// A latency service-level objective over the two serving-visible latency
 /// components.
@@ -173,14 +173,11 @@ pub struct RequestMetrics {
 
 /// The complete outcome of one serving simulation.
 ///
-/// Serialization note: the `scheduler` and `paging` sections are
-/// **omitted** (not `null`) when absent, so reports from the legacy
-/// FIFO + reserved-KV regime stay byte-identical to reports from before
-/// paging and schedulers existed (pinned by the golden-report tests,
-/// the same discipline as [`crate::FaultSpec::none`]). That requires
-/// the hand-written [`Serialize`] impl below; keep its field list in
-/// sync with the struct.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+/// The `scheduler` and `paging` sections are **omitted** (not `null`)
+/// when absent, so reports from the FIFO + reserved-KV regime stay
+/// byte-identical to reports from before paging and schedulers existed
+/// (pinned by the golden-report tests).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeReport {
     /// Model name.
     pub model: String,
@@ -227,59 +224,13 @@ pub struct ServeReport {
     pub slo: SloReport,
     /// Per-request records, id order (rejected requests excluded).
     pub per_request: Vec<RequestMetrics>,
-    /// The admission scheduler, when it is not the legacy FIFO.
+    /// The admission scheduler, when it is not FIFO.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub scheduler: Option<Scheduler>,
     /// Paged-KV accounting, when the instance ran a paged
-    /// [`crate::KvSpec`]; absent under the legacy full reservation.
+    /// [`crate::KvSpec`]; absent under the full reservation.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub paging: Option<PagingReport>,
-}
-
-impl Serialize for ServeReport {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("model".to_owned(), self.model.to_value()),
-            ("cluster".to_owned(), self.cluster.to_value()),
-            ("tp".to_owned(), self.tp.to_value()),
-            ("precision".to_owned(), self.precision.to_value()),
-            ("requests".to_owned(), self.requests.to_value()),
-            ("completed".to_owned(), self.completed.to_value()),
-            ("rejected".to_owned(), self.rejected.to_value()),
-            ("rejected_ids".to_owned(), self.rejected_ids.to_value()),
-            ("makespan".to_owned(), self.makespan.to_value()),
-            (
-                "generated_tokens".to_owned(),
-                self.generated_tokens.to_value(),
-            ),
-            ("tokens_per_s".to_owned(), self.tokens_per_s.to_value()),
-            ("requests_per_s".to_owned(), self.requests_per_s.to_value()),
-            (
-                "prefill_iterations".to_owned(),
-                self.prefill_iterations.to_value(),
-            ),
-            (
-                "decode_iterations".to_owned(),
-                self.decode_iterations.to_value(),
-            ),
-            (
-                "mean_decode_batch".to_owned(),
-                self.mean_decode_batch.to_value(),
-            ),
-            ("ttft".to_owned(), self.ttft.to_value()),
-            ("tpot".to_owned(), self.tpot.to_value()),
-            ("e2e".to_owned(), self.e2e.to_value()),
-            ("queue".to_owned(), self.queue.to_value()),
-            ("kv".to_owned(), self.kv.to_value()),
-            ("slo".to_owned(), self.slo.to_value()),
-            ("per_request".to_owned(), self.per_request.to_value()),
-        ];
-        if let Some(scheduler) = &self.scheduler {
-            fields.push(("scheduler".to_owned(), scheduler.to_value()));
-        }
-        if let Some(paging) = &self.paging {
-            fields.push(("paging".to_owned(), paging.to_value()));
-        }
-        Value::Object(fields)
-    }
 }
 
 impl core::fmt::Display for ServeReport {

@@ -3,7 +3,7 @@
 use crate::ResilienceReport;
 use optimus_memory::TrainingMemoryReport;
 use optimus_units::{FlopCount, Time};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Where the time of one training batch goes (the stacks of Fig. 5).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
@@ -62,14 +62,12 @@ impl GemmBoundSplit {
 
 /// The complete output of a training estimate.
 ///
-/// Serialization note: the `resilience` section is **omitted** (not
-/// `null`) when absent, so reports estimated without a
-/// [`crate::CheckpointSpec`] — or under the degenerate
-/// [`crate::CheckpointSpec::none`] — stay byte-identical to reports from
-/// before resilience modeling existed (a property the resilience
-/// proptests pin). That requires the hand-written [`Serialize`] impl
-/// below; keep its field list in sync with the struct.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+/// The `resilience` section is **omitted** (not `null`) when absent, so
+/// reports estimated without a [`crate::CheckpointSpec`] — or under the
+/// degenerate [`crate::CheckpointSpec::none`] — stay byte-identical to
+/// reports from before resilience modeling existed (a property the
+/// resilience proptests pin).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainingReport {
     /// Predicted time per global batch.
     pub time_per_batch: Time,
@@ -98,34 +96,8 @@ pub struct TrainingReport {
     /// Failure-expected inflation of this estimate under a
     /// [`crate::CheckpointSpec`]; absent when no failure process is
     /// modeled.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub resilience: Option<ResilienceReport>,
-}
-
-impl Serialize for TrainingReport {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("time_per_batch".to_owned(), self.time_per_batch.to_value()),
-            ("breakdown".to_owned(), self.breakdown.to_value()),
-            ("memory".to_owned(), self.memory.to_value()),
-            ("microbatches".to_owned(), self.microbatches.to_value()),
-            ("model_flops".to_owned(), self.model_flops.to_value()),
-            ("mfu".to_owned(), self.mfu.to_value()),
-            (
-                "layer_gemm_split".to_owned(),
-                self.layer_gemm_split.to_value(),
-            ),
-            ("device_flops".to_owned(), self.device_flops.to_value()),
-            ("dram_traffic".to_owned(), self.dram_traffic.to_value()),
-            (
-                "network_traffic".to_owned(),
-                self.network_traffic.to_value(),
-            ),
-        ];
-        if let Some(resilience) = &self.resilience {
-            fields.push(("resilience".to_owned(), resilience.to_value()));
-        }
-        Value::Object(fields)
-    }
 }
 
 impl core::fmt::Display for TrainingReport {

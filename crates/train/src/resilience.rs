@@ -67,14 +67,14 @@
 //! byte-identically to the original scalar model — the goldens pin this.
 
 use optimus_collective::{Collective, CommModel};
-use optimus_hw::reliability::{splitmix64, weibull_scale};
+use optimus_hw::reliability::{is_default, splitmix64, weibull_scale};
 use optimus_hw::{ClusterSpec, FailureProcess};
 use optimus_memory::TrainingMemoryReport;
 use optimus_parallel::Parallelism;
 use optimus_units::{Bytes, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Default fraction of the sharded optimizer state captured by a
 /// [`TierKind::PersistentDelta`] checkpoint.
@@ -161,7 +161,11 @@ impl CheckpointTier {
 /// failure process shape, the checkpoint tier stack, the recovery
 /// strategy (restart vs elastic), and the power profile of overhead
 /// time.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The three base fields always serialize; the stack extensions are
+/// omitted at their defaults (and default when missing), so base specs
+/// keep the pre-stack JSON format.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CheckpointSpec {
     /// Mean seconds of uptime between failures of **one GPU**. The
     /// cluster-level MTBF follows from [`Self::process`]
@@ -175,30 +179,60 @@ pub struct CheckpointSpec {
     /// re-spawn, checkpoint reload), on top of the lost half-interval.
     pub restart_s: f64,
     /// The failure arrival process (default exponential).
+    #[serde(default, skip_serializing_if = "is_default")]
     pub process: FailureProcess,
     /// Extra checkpoint tiers in front of the persistent full base tier.
+    #[serde(default, skip_serializing_if = "is_default")]
     pub tiers: Vec<CheckpointTier>,
     /// Whether the job may shrink its DP group by the blast radius and
     /// keep training instead of restarting.
+    #[serde(default, skip_serializing_if = "is_default")]
     pub elastic: bool,
     /// Seconds to re-shard and re-warm the shrunken job after an elastic
     /// recovery (in place of the full `restart_s`).
+    #[serde(default, skip_serializing_if = "is_default")]
     pub rewarm_s: f64,
     /// Mean seconds until failed resources return to the job. A
     /// restarting job waits this long stopped; an elastic job trains
     /// degraded through it.
+    #[serde(default, skip_serializing_if = "is_default")]
     pub repair_s: f64,
     /// Fraction of the sharded optimizer state a delta checkpoint
     /// captures.
+    #[serde(
+        default = "default_delta_fraction",
+        skip_serializing_if = "is_default_delta_fraction"
+    )]
     pub delta_fraction: f64,
     /// Utilization of the dynamic power budget during checkpoint /
     /// rework / restart overhead time (`1.0` = full burn, the classic
     /// pessimistic assumption; lower values let the energy model price
     /// overhead seconds at idle-ish power).
+    #[serde(
+        default = "default_overhead_util",
+        skip_serializing_if = "is_default_overhead_util"
+    )]
     pub overhead_util: f64,
     /// Base seed for the seeded rework simulation of non-exponential
     /// processes.
+    #[serde(default, skip_serializing_if = "is_default")]
     pub seed: u64,
+}
+
+fn default_delta_fraction() -> f64 {
+    DELTA_FRACTION_DEFAULT
+}
+
+fn is_default_delta_fraction(delta_fraction: &f64) -> bool {
+    *delta_fraction == DELTA_FRACTION_DEFAULT
+}
+
+fn default_overhead_util() -> f64 {
+    1.0
+}
+
+fn is_default_overhead_util(overhead_util: &f64) -> bool {
+    *overhead_util == default_overhead_util()
 }
 
 impl CheckpointSpec {
@@ -809,80 +843,6 @@ fn memory_delta_bytes(memory: &TrainingMemoryReport, fraction: f64) -> f64 {
     memory.optimizer.bytes() * fraction
 }
 
-impl Serialize for CheckpointSpec {
-    fn to_value(&self) -> Value {
-        // The three base fields always serialize (in the original order);
-        // stack extensions are omitted at their defaults so base specs
-        // stay byte-identical to the pre-stack format.
-        let mut fields = vec![
-            ("mtbf_s".to_owned(), self.mtbf_s.to_value()),
-            ("interval_s".to_owned(), self.interval_s.to_value()),
-            ("restart_s".to_owned(), self.restart_s.to_value()),
-        ];
-        if self.process != FailureProcess::Exponential {
-            fields.push(("process".to_owned(), self.process.to_value()));
-        }
-        if !self.tiers.is_empty() {
-            fields.push(("tiers".to_owned(), self.tiers.to_value()));
-        }
-        if self.elastic {
-            fields.push(("elastic".to_owned(), self.elastic.to_value()));
-        }
-        if self.rewarm_s != 0.0 {
-            fields.push(("rewarm_s".to_owned(), self.rewarm_s.to_value()));
-        }
-        if self.repair_s != 0.0 {
-            fields.push(("repair_s".to_owned(), self.repair_s.to_value()));
-        }
-        if self.delta_fraction != DELTA_FRACTION_DEFAULT {
-            fields.push(("delta_fraction".to_owned(), self.delta_fraction.to_value()));
-        }
-        if self.overhead_util != 1.0 {
-            fields.push(("overhead_util".to_owned(), self.overhead_util.to_value()));
-        }
-        if self.seed != 0 {
-            fields.push(("seed".to_owned(), self.seed.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for CheckpointSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let mut spec = Self {
-            mtbf_s: f64::from_value(v.field_or_null("mtbf_s"))?,
-            interval_s: Option::<f64>::from_value(v.field_or_null("interval_s"))?,
-            restart_s: f64::from_value(v.field_or_null("restart_s"))?,
-            ..Self::none()
-        };
-        if let Some(p) = v.get("process") {
-            spec.process = FailureProcess::from_value(p)?;
-        }
-        if let Some(t) = v.get("tiers") {
-            spec.tiers = Vec::<CheckpointTier>::from_value(t)?;
-        }
-        if let Some(e) = v.get("elastic") {
-            spec.elastic = bool::from_value(e)?;
-        }
-        if let Some(x) = v.get("rewarm_s") {
-            spec.rewarm_s = f64::from_value(x)?;
-        }
-        if let Some(x) = v.get("repair_s") {
-            spec.repair_s = f64::from_value(x)?;
-        }
-        if let Some(x) = v.get("delta_fraction") {
-            spec.delta_fraction = f64::from_value(x)?;
-        }
-        if let Some(x) = v.get("overhead_util") {
-            spec.overhead_util = f64::from_value(x)?;
-        }
-        if let Some(x) = v.get("seed") {
-            spec.seed = u64::from_value(x)?;
-        }
-        Ok(spec)
-    }
-}
-
 /// Everything [`CheckpointSpec::evaluate_stack`] needs to know about the
 /// strategy being priced.
 #[derive(Debug, Clone, Copy)]
@@ -1033,7 +993,10 @@ pub struct ElasticReport {
 
 /// The resilience section of a [`crate::TrainingReport`]: how one
 /// strategy's failure-free batch time inflates under a [`CheckpointSpec`].
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+///
+/// The stack sections at the end are omitted (not `null`) when absent,
+/// so base reports keep the pre-stack JSON format.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResilienceReport {
     /// The spec priced into this report (JSON-safe copy).
     pub spec: CheckpointSpec,
@@ -1065,58 +1028,17 @@ pub struct ResilienceReport {
     /// Failure-expected time per batch: `time_per_batch / goodput`.
     pub expected_time_per_batch: Time,
     /// The non-exponential failure process, when one is in effect.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub process: Option<FailureProcess>,
     /// Extra checkpoint tier pricing, when tiers are configured.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub tiers: Option<Vec<TierReport>>,
     /// Repair-wait time per useful second, when `repair_s > 0`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub repair_frac: Option<f64>,
     /// The elastic-vs-restart comparison, when elasticity is enabled.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub elastic: Option<ElasticReport>,
-}
-
-impl Serialize for ResilienceReport {
-    fn to_value(&self) -> Value {
-        // Stack extensions are omitted (not null) when absent so base
-        // reports stay byte-identical to the pre-stack format.
-        let mut fields = vec![
-            ("spec".to_owned(), self.spec.to_value()),
-            (
-                "checkpoint_bytes".to_owned(),
-                self.checkpoint_bytes.to_value(),
-            ),
-            (
-                "checkpoint_write".to_owned(),
-                self.checkpoint_write.to_value(),
-            ),
-            ("interval".to_owned(), self.interval.to_value()),
-            ("auto_interval".to_owned(), self.auto_interval.to_value()),
-            ("cluster_mtbf".to_owned(), self.cluster_mtbf.to_value()),
-            (
-                "checkpoint_overhead_frac".to_owned(),
-                self.checkpoint_overhead_frac.to_value(),
-            ),
-            ("rework_frac".to_owned(), self.rework_frac.to_value()),
-            ("restart_frac".to_owned(), self.restart_frac.to_value()),
-            ("goodput".to_owned(), self.goodput.to_value()),
-            (
-                "expected_time_per_batch".to_owned(),
-                self.expected_time_per_batch.to_value(),
-            ),
-        ];
-        if let Some(process) = &self.process {
-            fields.push(("process".to_owned(), process.to_value()));
-        }
-        if let Some(tiers) = &self.tiers {
-            fields.push(("tiers".to_owned(), tiers.to_value()));
-        }
-        if let Some(repair_frac) = &self.repair_frac {
-            fields.push(("repair_frac".to_owned(), repair_frac.to_value()));
-        }
-        if let Some(elastic) = &self.elastic {
-            fields.push(("elastic".to_owned(), elastic.to_value()));
-        }
-        Value::Object(fields)
-    }
 }
 
 impl ResilienceReport {

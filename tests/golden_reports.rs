@@ -235,8 +235,8 @@ fn paged_fleet_report_is_byte_identical_to_the_fixture() {
 /// --failure-process weibull:0.7 --fault-seed 5 --json`
 #[test]
 fn weibull_fleet_report_is_byte_identical_to_the_fixture() {
-    let faults = FaultSpec::crashes(5, 6.0, 2.0)
-        .with_process(FailureProcess::Weibull { shape: 0.7 });
+    let faults =
+        FaultSpec::crashes(5, 6.0, 2.0).with_process(FailureProcess::Weibull { shape: 0.7 });
     let config = FleetConfig {
         replicas: 2,
         router: RouterPolicy::RoundRobin,
@@ -250,7 +250,10 @@ fn weibull_fleet_report_is_byte_identical_to_the_fixture() {
         &trace(37, 50, 20.0, (50, 150), (2, 16)),
     )
     .unwrap();
-    assert!(report.faults.as_ref().is_some_and(|f| !f.process.is_exponential()));
+    assert!(report
+        .faults
+        .as_ref()
+        .is_some_and(|f| !f.process.is_exponential()));
     assert_golden(&report, "fleet_weibull.json");
 }
 
