@@ -20,6 +20,17 @@
 //!   report every `CheckpointSpec` extension plus the `process`,
 //!   `tiers`, `repair_frac` and `elastic` resilience sections.
 //!
+//! * **Reordering-scheduler fixtures** (`serve_sjf_ties`,
+//!   `fleet_priority_preempt_churn`), captured at commit `05d5d38` —
+//!   before the admission queue became a binary heap — pin the order in
+//!   which the non-FIFO schedulers admit. The SJF trace draws lengths
+//!   from narrow ranges so `prompt + output` ties are common and runs far
+//!   past capacity so the queue runs deep; ties must still go to the
+//!   earliest-queued request. The priority-preempt fleet crashes while
+//!   its queues are deep (a drain empties a non-empty queue and requeues
+//!   it in id order) and draws a straggler, so every exactly priced
+//!   iteration is scaled by the replica's slowdown multiplier.
+//!
 //! Each test replays the exact invocation that produced its fixture
 //! in-process, compares the pretty JSON byte-for-byte, and checks that
 //! parsing the fixture and re-serializing it gives the fixture back.
@@ -294,4 +305,53 @@ fn stacked_resilience_train_report_is_byte_identical_to_the_fixture() {
             && resilience.elastic.is_some()
     );
     assert_golden(&report, "train_resilience_stack.json");
+}
+
+/// `serve --model llama2-13b --tp 1 --scheduler sjf --requests 200
+/// --rate 200 --prompt 2000:2008 --output 8:10 --seed 41 --json` —
+/// reserved KV holds ~32 requests, so ~195 queue behind the SJF pick,
+/// and only 11 distinct `prompt + output` keys exist.
+#[test]
+fn sjf_serve_report_with_tied_keys_is_byte_identical_to_the_fixture() {
+    let config = ServeConfig::new(1).with_scheduler(Scheduler::Sjf);
+    let report = simulate(
+        &presets::dgx_a100_hdr_cluster(),
+        Arc::new(models::llama2_13b()),
+        &config,
+        &trace(41, 200, 200.0, (2000, 2008), (8, 10)),
+    )
+    .unwrap();
+    assert!(report.paging.is_none() && report.queue.peak_waiting > 100);
+    assert_golden(&report, "serve_sjf_ties.json");
+}
+
+/// `serve --model llama2-13b --tp 1 --replicas 2 --router
+/// least-outstanding --kv-block 16 --scheduler priority-preempt
+/// --priority-classes 3 --requests 120 --rate 40 --prompt 1000:3000
+/// --output 200:800 --seed 43 --mtbf 60 --mttr 5 --stragglers 0.5:2
+/// --fault-seed 3 --json`
+#[test]
+fn priority_preempt_churn_fleet_report_is_byte_identical_to_the_fixture() {
+    let mut spec = trace(43, 120, 40.0, (1000, 3000), (200, 800));
+    spec.priority_classes = 3;
+    let faults = FaultSpec::crashes(3, 60.0, 5.0).with_stragglers(0.5, 2.0);
+    let config = FleetConfig {
+        replicas: 2,
+        router: RouterPolicy::LeastOutstanding,
+        replica: ServeConfig::new(1)
+            .with_kv(KvSpec::paged(16))
+            .with_scheduler(Scheduler::PriorityPreempt),
+        faults: faults.clone(),
+    };
+    let report = simulate_fleet(
+        &presets::dgx_a100_hdr_cluster(),
+        Arc::new(models::llama2_13b()),
+        &config,
+        &spec,
+    )
+    .unwrap();
+    assert!((0..2).any(|r| faults.slow_mult(r) > 1.0));
+    assert!(report.paging.is_some_and(|p| p.preemptions > 0));
+    assert!(report.availability.requeues > 0);
+    assert_golden(&report, "fleet_priority_preempt_churn.json");
 }
