@@ -32,7 +32,12 @@ use crate::{
 };
 use optimus_infer::DecodeCostTable;
 use optimus_units::{Bytes, Time};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
+
+/// The reordering schedulers' admission queue: a min-heap of
+/// `(`[`Scheduler::queue_key`]`, trace index)`.
+type PendingHeap = BinaryHeap<Reverse<(usize, usize)>>;
 
 /// An admitted request's in-flight state (slot-arena entry, recycled at
 /// completion).
@@ -178,6 +183,10 @@ pub(crate) struct ReplicaEngine<'i, 'a> {
     // Dense prefill-duration cache by prompt length: each distinct
     // admittable prompt is priced once per engine, lock-free after.
     prefill_cache: Vec<f64>,
+    // Exact-pricing decode cache (no sealed `table`): base seconds per
+    // `(batch, kv_len)`, before `slow_mult`. Sparse because the visited
+    // pairs are a thin path through the batch × context plane.
+    decode_cache: HashMap<(usize, usize), f64>,
 
     // Completion ring: requests joining the decode batch with `n` output
     // tokens complete exactly `n` decode epochs later.
@@ -236,10 +245,13 @@ pub(crate) struct ReplicaEngine<'i, 'a> {
     total_blocks: usize,
     used_blocks: usize,
     peak_blocks: usize,
-    // Arrived-but-unadmitted requests of the reordering schedulers, which
-    // pick out of arrival order. FIFO admits straight from the cursor
-    // instead, so its backlog is never copied and this stays empty.
-    pending: VecDeque<Request>,
+    // Arrived-but-unadmitted requests of the reordering schedulers, as a
+    // min-heap of `(scheduler key, trace index)`: the key is computed
+    // once at enqueue, and the cursor enqueues in trace order, so ties
+    // go to the earliest-queued request. FIFO admits straight from the
+    // cursor instead, so its backlog is never copied and this stays
+    // empty.
+    pending: PendingHeap,
     // Recompute-preempted slots waiting to re-prefill, FIFO.
     preempted: VecDeque<u32>,
     // Swap-preempted slots parked on the host, FIFO.
@@ -286,7 +298,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             total_blocks: if paged { instance.total_blocks() } else { 0 },
             used_blocks: 0,
             peak_blocks: 0,
-            pending: VecDeque::new(),
+            pending: PendingHeap::new(),
             preempted: VecDeque::new(),
             swapped: VecDeque::new(),
             awaiting_swapin: VecDeque::new(),
@@ -304,6 +316,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             table,
             budget: instance.kv_budget(),
             prefill_cache: vec![f64::NAN; bounds.max_prompt + 1],
+            decode_cache: HashMap::new(),
             calendar: vec![Vec::new(); ring_len],
             decode_epoch: 0,
             trace: Vec::new(),
@@ -524,7 +537,8 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     fn admit(&mut self) {
         if self.scheduler != Scheduler::Fifo {
             while self.admit_cursor < self.arrived {
-                self.pending.push_back(self.trace[self.admit_cursor]);
+                let key = self.scheduler.queue_key(&self.trace[self.admit_cursor]);
+                self.pending.push(Reverse((key, self.admit_cursor)));
                 self.admit_cursor += 1;
             }
         }
@@ -540,7 +554,8 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             }
             self.preempted.pop_front();
         }
-        while let Some((request, pos)) = self.pick() {
+        while let Some(pick) = self.pick() {
+            let request = self.trace[pick];
             match self.try_admit(&request) {
                 Admission::Admitted => {}
                 Admission::Blocked => break, // head-of-line: the pick waits
@@ -550,38 +565,30 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
                     self.rejected_ids.push(request.id);
                 }
             }
-            self.dequeue(pos);
+            self.dequeue();
         }
     }
 
-    /// The scheduler's pick: the queued request that admits next, with
-    /// its `pending` position. FIFO reads the arrival cursor in place
-    /// (position `None`); the reordering schedulers break ties to the
-    /// earliest-queued position.
+    /// The scheduler's pick: the trace index of the queued request that
+    /// admits next. FIFO reads the arrival cursor in place; the
+    /// reordering schedulers peek the top of `pending` in O(1).
     #[inline]
-    fn pick(&self) -> Option<(Request, Option<usize>)> {
-        let pos = match self.scheduler {
-            Scheduler::Fifo => {
-                return (self.admit_cursor < self.arrived)
-                    .then(|| (self.trace[self.admit_cursor], None));
-            }
-            Scheduler::Priority | Scheduler::PriorityPreempt => {
-                (0..self.pending.len()).min_by_key(|&i| self.pending[i].priority)
-            }
-            Scheduler::Sjf => (0..self.pending.len())
-                .min_by_key(|&i| self.pending[i].prompt + self.pending[i].output),
-        }?;
-        Some((self.pending[pos], Some(pos)))
+    fn pick(&self) -> Option<usize> {
+        if self.scheduler == Scheduler::Fifo {
+            (self.admit_cursor < self.arrived).then_some(self.admit_cursor)
+        } else {
+            self.pending.peek().map(|&Reverse((_, pick))| pick)
+        }
     }
 
-    /// Removes a picked request from its queue.
+    /// Removes the pick from its queue: advances the FIFO cursor, or pops
+    /// the heap top in O(log n).
     #[inline]
-    fn dequeue(&mut self, pos: Option<usize>) {
-        match pos {
-            Some(pos) => {
-                self.pending.remove(pos);
-            }
-            None => self.admit_cursor += 1,
+    fn dequeue(&mut self) {
+        if self.scheduler == Scheduler::Fifo {
+            self.admit_cursor += 1;
+        } else {
+            self.pending.pop();
         }
     }
 
@@ -849,7 +856,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         {
             lost.push(self.slots[idx as usize].request);
         }
-        lost.extend(self.pending.iter().copied());
+        lost.extend(self.pending.iter().map(|&Reverse((_, i))| self.trace[i]));
         lost.extend_from_slice(&self.trace[self.admit_cursor..]);
         self.awaiting_prefill.clear();
         self.awaiting_swapin.clear();
@@ -968,14 +975,20 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         let kv_len = self.ctx_sum.div_ceil(batch);
         let base = match self.table {
             Some(t) => t.decode_iteration(batch, kv_len).secs(),
-            None => {
-                let c = self.instance.config();
-                self.instance
-                    .estimator()
-                    .decode_iteration(batch, kv_len, c.tp, c.precision)
-                    .map_err(|e| ServeError::Estimator(e.to_string()))?
-                    .secs()
-            }
+            None => match self.decode_cache.get(&(batch, kv_len)) {
+                Some(&cached) => cached,
+                None => {
+                    let c = self.instance.config();
+                    let computed = self
+                        .instance
+                        .estimator()
+                        .decode_iteration(batch, kv_len, c.tp, c.precision)
+                        .map_err(|e| ServeError::Estimator(e.to_string()))?
+                        .secs();
+                    self.decode_cache.insert((batch, kv_len), computed);
+                    computed
+                }
+            },
         };
         let dur = base * self.slow_mult + swap_out_s;
         self.decode_iterations += 1;
@@ -1202,5 +1215,80 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
                 paging,
             },
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The pre-heap pick, kept as the oracle: a linear scan of the queue
+    /// (held in enqueue order) for its *first* minimum.
+    fn linear_pick(scheduler: Scheduler, queue: &VecDeque<Request>) -> Option<usize> {
+        match scheduler {
+            Scheduler::Fifo => unreachable!("FIFO admits from the cursor"),
+            Scheduler::Priority | Scheduler::PriorityPreempt => {
+                (0..queue.len()).min_by_key(|&i| queue[i].priority)
+            }
+            Scheduler::Sjf => (0..queue.len()).min_by_key(|&i| queue[i].prompt + queue[i].output),
+        }
+    }
+
+    /// Random interleavings of enqueue, blocked peek, and admit over keys
+    /// drawn from a handful of values (ties everywhere): the heap must
+    /// pick exactly what the linear first-minimum scan picks, every time.
+    #[test]
+    fn heap_admission_order_matches_the_linear_first_minimum_scan() {
+        for scheduler in [
+            Scheduler::Sjf,
+            Scheduler::Priority,
+            Scheduler::PriorityPreempt,
+        ] {
+            for seed in 0..64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut trace: Vec<Request> = Vec::new();
+                let mut heap = PendingHeap::new();
+                let mut oracle: VecDeque<Request> = VecDeque::new();
+                let mut admitted = 0;
+                for step in 0..600 {
+                    let roll = rng.gen_range(0.0f64..1.0);
+                    if roll < 0.5 {
+                        let mut r = Request::new(
+                            trace.len(),
+                            step as f64,
+                            rng.gen_range(1..=4),
+                            rng.gen_range(1..=3),
+                        );
+                        r.priority = rng.gen_range(0..3);
+                        heap.push(Reverse((scheduler.queue_key(&r), trace.len())));
+                        oracle.push_back(r);
+                        trace.push(r);
+                        continue;
+                    }
+                    let expected = linear_pick(scheduler, &oracle);
+                    let peeked = heap.peek().map(|&Reverse((_, i))| i);
+                    assert_eq!(
+                        peeked.map(|i| trace[i].id),
+                        expected.map(|pos| oracle[pos].id),
+                        "{scheduler} seed {seed} step {step}: pick diverged"
+                    );
+                    if roll < 0.8 {
+                        // Admitted: both queues drop the pick.
+                        heap.pop();
+                        if let Some(pos) = expected {
+                            oracle.remove(pos);
+                            admitted += 1;
+                        }
+                    } // else head-of-line blocked: the pick stays queued.
+                }
+                while let Some(Reverse((_, i))) = heap.pop() {
+                    let pos = linear_pick(scheduler, &oracle).expect("same population");
+                    assert_eq!(trace[i].id, oracle.remove(pos).unwrap().id);
+                }
+                assert!(oracle.is_empty() && admitted > 0);
+            }
+        }
     }
 }

@@ -125,7 +125,11 @@ impl core::fmt::Display for KvSpec {
 /// Every scheduler keeps head-of-line blocking: the *picked* request
 /// either admits or the queue waits — a lower-ranked request never
 /// admits past a blocked pick. FIFO's pick is simply the oldest arrival,
-/// read in place at the engine's admission cursor.
+/// read in place at the engine's admission cursor. The reordering
+/// schedulers keep their queue as a min-heap on (rank, arrival order) —
+/// the rank is the priority class or `prompt + output`: the pick is an
+/// O(1) peek and an admission an O(log n) pop, and ties on the rank go
+/// to the earliest-queued request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Serialize, Deserialize)]
 pub enum Scheduler {
     /// Earliest arrival first — the legacy (and vLLM default) order.
@@ -161,6 +165,17 @@ impl Scheduler {
     #[must_use]
     pub fn is_priority_aware(&self) -> bool {
         matches!(self, Self::Priority | Self::PriorityPreempt)
+    }
+
+    /// The admission rank of `request` — smaller admits first: its
+    /// priority class for the priority schedulers, `prompt + output` for
+    /// SJF. FIFO ranks by arrival alone, so every request keys `0`.
+    pub(crate) fn queue_key(self, request: &crate::Request) -> usize {
+        match self {
+            Self::Fifo => 0,
+            Self::Priority | Self::PriorityPreempt => usize::from(request.priority),
+            Self::Sjf => request.prompt + request.output,
+        }
     }
 }
 
