@@ -31,6 +31,14 @@
 //!   it in id order) and draws a straggler, so every exactly priced
 //!   iteration is scaled by the replica's slowdown multiplier.
 //!
+//! * **Sealed-path fixtures** (`serve_sealed`, `fleet_sealed`), captured
+//!   at commit `17adc7a` — before the decode table was filled row by row
+//!   and before the single-replica engine borrowed its trace — are the
+//!   only fixtures past [`optimus_serve::EXACT_MODE_LIMIT`] requests, so
+//!   every decode iteration in them is priced through the sealed
+//!   `DecodeCostTable` and the percentiles come from the streaming log
+//!   histograms.
+//!
 //! Each test replays the exact invocation that produced its fixture
 //! in-process, compares the pretty JSON byte-for-byte, and checks that
 //! parsing the fixture and re-serializing it gives the fixture back.
@@ -354,4 +362,40 @@ fn priority_preempt_churn_fleet_report_is_byte_identical_to_the_fixture() {
     assert!(report.paging.is_some_and(|p| p.preemptions > 0));
     assert!(report.availability.requeues > 0);
     assert_golden(&report, "fleet_priority_preempt_churn.json");
+}
+
+/// `serve --model llama2-13b --tp 2 --requests 20000 --rate 500
+/// --prompt 50:400 --output 8:64 --json` (default seed 42)
+#[test]
+fn sealed_serve_report_is_byte_identical_to_the_fixture() {
+    let report = simulate(
+        &presets::dgx_a100_hdr_cluster(),
+        Arc::new(models::llama2_13b()),
+        &ServeConfig::new(2),
+        &trace(42, 20_000, 500.0, (50, 400), (8, 64)),
+    )
+    .unwrap();
+    assert!(report.requests > optimus_serve::EXACT_MODE_LIMIT && report.per_request.is_empty());
+    assert_golden(&report, "serve_sealed.json");
+}
+
+/// `serve --model llama2-13b --tp 2 --replicas 2 --router
+/// least-outstanding --requests 20000 --rate 800 --prompt 50:400
+/// --output 8:64 --json` (default seed 42)
+#[test]
+fn sealed_fleet_report_is_byte_identical_to_the_fixture() {
+    let config = FleetConfig {
+        replicas: 2,
+        router: RouterPolicy::LeastOutstanding,
+        replica: ServeConfig::new(2),
+        faults: FaultSpec::none(),
+    };
+    let report = simulate_fleet(
+        &presets::dgx_a100_hdr_cluster(),
+        Arc::new(models::llama2_13b()),
+        &config,
+        &trace(42, 20_000, 800.0, (50, 400), (8, 64)),
+    )
+    .unwrap();
+    assert_golden(&report, "fleet_sealed.json");
 }
