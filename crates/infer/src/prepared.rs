@@ -359,6 +359,15 @@ impl<'a> PreparedInferenceEstimator<'a> {
     /// takes the locks per entry nor grows the maps, and lookups against
     /// the sealed table do zero locking and zero hashing.
     ///
+    /// The fill is row-factored. Under decode only the attention
+    /// operators read the context, so each batch row costs the layer's
+    /// operators once at its first context, and every further column
+    /// re-costs only the operators whose [`Op`] differs from that base
+    /// (`AttnScores`, `Softmax`, the optional `AttnDropout` and
+    /// `AttnOverValues`). Cached and fresh kernel costs are accumulated
+    /// in the original operator order, so every `f64` sum is the one
+    /// [`Self::decode_iteration`] computes.
+    ///
     /// # Errors
     ///
     /// Returns [`HwError`] when the device lacks the serving precision.
@@ -395,16 +404,37 @@ impl<'a> PreparedInferenceEstimator<'a> {
                 .collect();
             let extra = self.ops_cost(&extra_ops, precision)?;
             let volume = Bytes::new((batch * self.model.hidden) as f64 * precision.bytes());
+            let comm = plan.tp_layer_inference(volume) * layers;
+            let layer_ops = |kv_len| {
+                graph::layer_forward_ops(
+                    &self.model,
+                    &GraphParams::decode(batch, kv_len, tp, precision),
+                )
+            };
+            let base_ops = layer_ops(kv_grid.values()[0]);
+            let base_costs = base_ops
+                .iter()
+                .map(|op| self.op_cost(op, precision))
+                .collect::<Result<Vec<_>, _>>()?;
             for &kv_len in kv_grid.values() {
-                let gp = GraphParams::decode(batch, kv_len, tp, precision);
-                let layer =
-                    self.ops_cost(&graph::layer_forward_ops(&self.model, &gp), precision)?;
+                let ops = layer_ops(kv_len);
+                assert_eq!(
+                    ops.len(),
+                    base_ops.len(),
+                    "decode layer operator lists must not change length with the context"
+                );
+                let mut bd = InferenceBreakdown::default();
+                for ((op, base_op), base_cost) in ops.iter().zip(&base_ops).zip(&base_costs) {
+                    if op == base_op {
+                        accumulate(&mut bd, base_cost);
+                    } else {
+                        accumulate(&mut bd, &self.op_cost(op, precision)?);
+                    }
+                }
                 // Identical expression (and f64 evaluation order) to
                 // `decode_iteration`, so exact-grid entries match it
                 // bit-for-bit.
-                let total = layer.bd.total() * layers
-                    + plan.tp_layer_inference(volume) * layers
-                    + extra.bd.total();
+                let total = bd.total() * layers + comm + extra.bd.total();
                 costs.push(total.secs());
             }
         }
@@ -617,48 +647,92 @@ mod tests {
         );
     }
 
-    /// The sealed decode-cost table must be **bit-identical** to the
-    /// memoized `decode_iteration` path on its exact grid region, and
-    /// within one round-up bucket of it beyond — same costing code, with
-    /// vs without the per-call locking and hashing.
+    /// Full-grid oracle for the row-factored seal: **every**
+    /// representative `(batch, kv)` of the table, in the exact and the
+    /// bucketed region alike, must equal the memoized
+    /// `decode_iteration` bit-for-bit. Covers MHA (llama2-13b), GQA
+    /// (llama2-70b) and a LayerNorm / learned-position / dropout model
+    /// (gpt-7b), each at three TP degrees, with bounds past both exact
+    /// regions.
     #[test]
     fn sealed_table_matches_decode_iteration_on_the_exact_grid() {
+        use crate::sealed::{BATCH_EXACT, KV_EXACT};
         let cluster = presets::dgx_a100_hdr_cluster();
-        let serving =
-            PreparedInferenceEstimator::for_serving(&cluster, Arc::new(models::llama2_13b()));
-        for tp in [1, 2] {
-            let table = serving
-                .seal_decode_costs(200, 1000, tp, Precision::Fp16)
-                .unwrap();
-            // Exact region: every covered (batch, kv) pair matches the
-            // memoized path bit-for-bit.
-            for batch in [1usize, 2, 17, 64] {
-                for kv in [1usize, 3, 100, 256] {
-                    let sealed = table.decode_iteration(batch, kv);
-                    let memoized = serving
-                        .decode_iteration(batch, kv, tp, Precision::Fp16)
-                        .unwrap();
-                    assert_eq!(
-                        sealed.secs().to_bits(),
-                        memoized.secs().to_bits(),
-                        "tp={tp} batch={batch} kv={kv}"
-                    );
-                }
+        let (max_batch, max_kv) = (BATCH_EXACT + 16, KV_EXACT + 64);
+        // One thread per model keeps the ~163k oracle evaluations fast in
+        // debug builds.
+        std::thread::scope(|scope| {
+            for model in [models::llama2_13b(), models::llama2_70b(), models::gpt_7b()] {
+                let cluster = &cluster;
+                scope.spawn(move || {
+                    let serving = PreparedInferenceEstimator::for_serving(cluster, Arc::new(model));
+                    for tp in [1, 2, 8] {
+                        let table = serving
+                            .seal_decode_costs(max_batch, max_kv, tp, Precision::Fp16)
+                            .unwrap();
+                        assert!(
+                            table.batch_grid().max() > BATCH_EXACT
+                                && table.kv_grid().max() > KV_EXACT
+                        );
+                        for &batch in table.batch_grid().values() {
+                            for &kv in table.kv_grid().values() {
+                                let sealed = table.decode_iteration(batch, kv);
+                                let memoized = serving
+                                    .decode_iteration(batch, kv, tp, Precision::Fp16)
+                                    .unwrap();
+                                assert_eq!(
+                                    sealed.secs().to_bits(),
+                                    memoized.secs().to_bits(),
+                                    "{} tp={tp} batch={batch} kv={kv}",
+                                    serving.model.name
+                                );
+                            }
+                        }
+                        // Off-grid queries price at their round-up
+                        // representative, never cheaper than exact.
+                        let (batch, kv) = (max_batch - 1, max_kv - 1);
+                        let exact = serving
+                            .decode_iteration(batch, kv, tp, Precision::Fp16)
+                            .unwrap();
+                        assert!(
+                            table.decode_iteration(batch, kv) >= exact,
+                            "rounding up must never price cheaper"
+                        );
+                    }
+                });
             }
-            // Bucketed region: the sealed cost is the memoized cost of the
-            // round-up representative — never cheaper than exact.
-            for (batch, kv) in [(100usize, 300usize), (199, 999)] {
-                let rep_b = table.batch_grid().round_up(batch);
-                let rep_k = table.kv_grid().round_up(kv);
-                let sealed = table.decode_iteration(batch, kv);
-                let at_rep = serving
-                    .decode_iteration(rep_b, rep_k, tp, Precision::Fp16)
-                    .unwrap();
-                assert_eq!(sealed.secs().to_bits(), at_rep.secs().to_bits());
-                let exact = serving
-                    .decode_iteration(batch, kv, tp, Precision::Fp16)
-                    .unwrap();
-                assert!(sealed >= exact, "rounding up must never price cheaper");
+        });
+    }
+
+    /// What makes the row-factored seal cheap: under decode, the only
+    /// layer operators that read the context are the attention core's.
+    /// Every other operator of a row is costed once.
+    #[test]
+    fn only_attention_core_ops_depend_on_the_decode_context() {
+        use optimus_model::OpRole;
+        for model in [models::llama2_13b(), models::llama2_70b(), models::gpt_7b()] {
+            for tp in [1, 8] {
+                let short = graph::layer_forward_ops(
+                    &model,
+                    &GraphParams::decode(4, 1, tp, Precision::Fp16),
+                );
+                let long = graph::layer_forward_ops(
+                    &model,
+                    &GraphParams::decode(4, 4000, tp, Precision::Fp16),
+                );
+                assert_eq!(short.len(), long.len());
+                let varying: Vec<OpRole> = short
+                    .iter()
+                    .zip(&long)
+                    .filter(|(a, b)| a != b)
+                    .map(|(a, _)| a.role)
+                    .collect();
+                let mut expected = vec![OpRole::AttnScores, OpRole::Softmax];
+                if model.dropout {
+                    expected.push(OpRole::AttnDropout);
+                }
+                expected.push(OpRole::AttnOverValues);
+                assert_eq!(varying, expected, "{} tp={tp}", model.name);
             }
         }
     }

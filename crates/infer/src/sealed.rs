@@ -17,6 +17,13 @@
 //! [`crate::PreparedInferenceEstimator::decode_iteration`]; on the
 //! bucketed region it overstates the cost by at most one bucket ratio
 //! (`2^(1/per_octave)`, ≈4.4% at the default 16 buckets per octave).
+//!
+//! The fill is row-factored: under decode only the attention core reads
+//! the context, so each batch row costs a layer's operators once and
+//! every further context column re-costs only the operators that differ
+//! (see [`crate::PreparedInferenceEstimator::seal_decode_costs`]). Every
+//! representative of the grid, bucketed ones included, is bit-identical
+//! to the memoized path at that representative.
 
 use optimus_units::Time;
 

@@ -4,9 +4,9 @@
 //! serving replica, factored out of the monolithic `ServeInstance::run`
 //! so it can be driven two ways:
 //!
-//! * **batch** — push an entire trace, [`ReplicaEngine::finish`], read
-//!   the report (the single-replica [`crate::ServeInstance::simulate`]
-//!   path);
+//! * **batch** — [`ReplicaEngine::load`] an entire trace (borrowed, never
+//!   copied), [`ReplicaEngine::finish`], read the report (the
+//!   single-replica [`crate::ServeInstance::simulate`] path);
 //! * **stepped** — interleave [`ReplicaEngine::push`] with
 //!   [`ReplicaEngine::advance_to`] so an online router can observe live
 //!   queue depth and outstanding work *at each arrival instant* before
@@ -32,6 +32,7 @@ use crate::{
 };
 use optimus_infer::DecodeCostTable;
 use optimus_units::{Bytes, Time};
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
@@ -193,13 +194,14 @@ pub(crate) struct ReplicaEngine<'i, 'a> {
     calendar: Vec<Vec<u32>>,
     decode_epoch: usize,
 
-    // The engine's trace: in batch mode the whole input, in stepped mode
-    // whatever the router has assigned so far. `eff` runs parallel to it
-    // with the *effective* (engine-observed, nondecreasing) arrival time:
-    // the original arrival for first-routed requests, the requeue instant
-    // for requests re-assigned after a crash. Metrics always use the
-    // request's own `arrival_s`.
-    trace: Vec<Request>,
+    // The engine's trace: in batch mode the caller's whole input,
+    // borrowed; in stepped mode an owned list of whatever the router has
+    // assigned so far. `eff` runs parallel to it with the *effective*
+    // (engine-observed, nondecreasing) arrival time: the original arrival
+    // for first-routed requests, the requeue instant for requests
+    // re-assigned after a crash. Metrics always use the request's own
+    // `arrival_s`.
+    trace: Cow<'i, [Request]>,
     eff: Vec<f64>,
     arrived: usize,      // trace[..arrived] have arrived (eff ≤ clock)
     admit_cursor: usize, // trace[admit_cursor..arrived] queue for admission
@@ -319,7 +321,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             decode_cache: HashMap::new(),
             calendar: vec![Vec::new(); ring_len],
             decode_epoch: 0,
-            trace: Vec::new(),
+            trace: Cow::Owned(Vec::new()),
             eff: Vec::new(),
             arrived: 0,
             admit_cursor: 0,
@@ -350,6 +352,16 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         }
     }
 
+    /// Assigns a whole arrival-ordered trace to a fresh engine without
+    /// copying it — the batch path. Equivalent to pushing every request
+    /// in order.
+    pub(crate) fn load(&mut self, trace: &'i [Request]) {
+        debug_assert!(self.assigned == 0, "load() needs a fresh engine");
+        self.eff = trace.iter().map(|r| r.arrival_s).collect();
+        self.trace = Cow::Borrowed(trace);
+        self.assigned = trace.len();
+    }
+
     /// Assigns one request to this replica. Requests must be pushed in
     /// arrival order.
     pub(crate) fn push(&mut self, request: Request) {
@@ -360,7 +372,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             "requests must be pushed in arrival order"
         );
         self.eff.push(request.arrival_s);
-        self.trace.push(request);
+        self.trace.to_mut().push(request);
         self.assigned += 1;
     }
 
@@ -372,7 +384,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     pub(crate) fn push_at(&mut self, request: Request, at_s: f64) {
         let eff = self.eff.last().map_or(at_s, |&prev| prev.max(at_s));
         self.eff.push(eff);
-        self.trace.push(request);
+        self.trace.to_mut().push(request);
         self.assigned += 1;
     }
 
@@ -876,7 +888,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         for e in &mut self.prefix_cache {
             *e = PrefixEntry::default();
         }
-        self.trace.truncate(self.admit_cursor);
+        self.trace.to_mut().truncate(self.admit_cursor);
         self.eff.truncate(self.admit_cursor);
         self.arrived = self.admit_cursor;
         if lost.is_empty() {
@@ -1288,6 +1300,102 @@ mod tests {
                     assert_eq!(trace[i].id, oracle.remove(pos).unwrap().id);
                 }
                 assert!(oracle.is_empty() && admitted > 0);
+            }
+        }
+    }
+
+    /// Runs `trace` through one fresh engine on `instance`, either loaded
+    /// in one borrow or pushed request by request (the pre-`load` batch
+    /// path), and assembles the report with per-request records on.
+    fn run_engine(
+        instance: &ServeInstance<'_>,
+        trace: &[Request],
+        load: bool,
+    ) -> crate::ServeReport {
+        let bounds = TraceBounds::scan(instance, trace);
+        let table = instance.pricing_table(trace.len(), &bounds).unwrap();
+        let mut engine = ReplicaEngine::new(instance, table, &bounds, trace.len(), true, None);
+        if load {
+            engine.load(trace);
+        } else {
+            for r in trace {
+                engine.push(*r);
+            }
+        }
+        engine.finish().unwrap();
+        let (routed, inputs) = engine.into_parts();
+        instance.assemble_report(routed, inputs)
+    }
+
+    /// `load(trace)` must be exactly the old push-every-request loop:
+    /// seeded, overloaded traces under reserved FIFO, paged SJF with
+    /// shared prefixes, and priority-preempt, each priced exactly and
+    /// through the sealed table, give identical reports.
+    #[test]
+    fn loading_a_trace_matches_pushing_every_request() {
+        use crate::{ArrivalProcess, KvSpec, LengthDist, PrefixSpec, PricingMode, ServeConfig};
+        use optimus_hw::presets;
+        use optimus_model::presets as models;
+        use std::sync::Arc;
+
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let cases = [
+            (ServeConfig::new(1), None, 1),
+            (
+                ServeConfig::new(1)
+                    .with_kv(KvSpec::paged(16))
+                    .with_scheduler(Scheduler::Sjf),
+                Some(PrefixSpec {
+                    pool: 4,
+                    tokens: 64,
+                    rate: 0.6,
+                }),
+                1,
+            ),
+            (
+                ServeConfig::new(1)
+                    .with_kv(KvSpec::paged(16))
+                    .with_scheduler(Scheduler::PriorityPreempt),
+                None,
+                3,
+            ),
+        ];
+        for (config, prefixes, priority_classes) in cases {
+            for seed in [3, 11] {
+                let trace = crate::TraceSpec {
+                    seed,
+                    requests: 300,
+                    arrival: ArrivalProcess::Poisson { rate_per_s: 60.0 },
+                    prompt: LengthDist::Uniform { lo: 200, hi: 2000 },
+                    output: LengthDist::Uniform { lo: 50, hi: 600 },
+                    prefixes,
+                    priority_classes,
+                }
+                .generate();
+                for pricing in [PricingMode::Exact, PricingMode::Sealed] {
+                    let instance = ServeInstance::new(
+                        &cluster,
+                        Arc::new(models::llama2_13b()),
+                        config.with_pricing(pricing),
+                    )
+                    .unwrap();
+                    let loaded = run_engine(&instance, &trace, true);
+                    let pushed = run_engine(&instance, &trace, false);
+                    let label = format!("{} seed {seed} {pricing:?}", config.scheduler);
+                    assert_eq!(loaded.completed + loaded.rejected, trace.len(), "{label}");
+                    assert!(loaded.queue.peak_waiting > 0, "{label}: not overloaded");
+                    if let Some(paging) = &loaded.paging {
+                        assert!(
+                            paging.preemptions > 0 || paging.prefix_hits > 0,
+                            "{label}: neither preempts nor shares a prefix"
+                        );
+                    }
+                    assert_eq!(
+                        serde_json::to_string(&loaded).unwrap(),
+                        serde_json::to_string(&pushed).unwrap(),
+                        "{label}: load() diverged from pushing"
+                    );
+                }
             }
         }
     }

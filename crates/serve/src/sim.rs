@@ -564,7 +564,8 @@ pub fn simulate_trace(
 
 impl<'a> ServeInstance<'a> {
     /// The single-replica event loop: one [`ReplicaEngine`] driven in
-    /// batch mode over the whole trace.
+    /// batch mode over the whole trace, which it borrows rather than
+    /// copies.
     fn run(
         &self,
         trace: &[Request],
@@ -579,9 +580,7 @@ impl<'a> ServeInstance<'a> {
             self.records_on(trace.len()),
             None, // fault injection is a fleet concern
         );
-        for r in trace {
-            engine.push(*r);
-        }
+        engine.load(trace);
         engine.finish()?;
         let (routed, inputs) = engine.into_parts();
         Ok(self.assemble_report(routed, inputs))
