@@ -39,6 +39,15 @@
 //!   `DecodeCostTable` and the percentiles come from the streaming log
 //!   histograms.
 //!
+//! * **Analytical-loop fixtures** (`sweep_weibull_tiered_frontier.json`,
+//!   `fig6.csv`), captured at commit `e9c70c7` — before the Weibull
+//!   rework estimate was memoized per prepared estimator and before the
+//!   DSE descent reused its gradient across rejected steps — pin the two
+//!   loops of the `model-sweep` benchmark op. The frontier is the CI
+//!   tiered-sweep smoke shape (Weibull k = 0.7, peer and delta tiers,
+//!   elastic recovery); the CSV is the Fig 6 technology-node DSE,
+//!   replayed through `optimus_experiments::fig6::csv()`.
+//!
 //! Each test replays the exact invocation that produced its fixture
 //! in-process, compares the pretty JSON byte-for-byte, and checks that
 //! parsing the fixture and re-serializing it gives the fixture back.
@@ -398,4 +407,47 @@ fn sealed_fleet_report_is_byte_identical_to_the_fixture() {
     )
     .unwrap();
     assert_golden(&report, "fleet_sealed.json");
+}
+
+/// `sweep --model llama2-13b --cluster a100-hdr --workload train
+/// --batch 64 --max-gpus 64 --mtbf 10000 --restart 900
+/// --failure-process weibull:0.7 --checkpoint-tiers peer,delta --elastic
+/// --frontier-only --json` — the CI tiered-sweep smoke shape: every
+/// frontier goodput prices the Weibull rework over peer and delta tiers
+/// and the elastic-vs-restart choice.
+#[test]
+fn tiered_weibull_sweep_frontier_is_byte_identical_to_the_fixture() {
+    let workload = Workload::Training {
+        batch: 64,
+        seq: 2048,
+        recompute: RecomputeMode::Selective,
+        schedule: PipelineSchedule::OneFOneB,
+    };
+    let spec = CheckpointSpec::with_mtbf(10_000.0)
+        .with_restart(900.0)
+        .with_process(FailureProcess::Weibull { shape: 0.7 })
+        .with_tiers(vec![CheckpointTier::peer(), CheckpointTier::delta()])
+        .with_elastic(true);
+    let report = SweepEngine::new(&presets::dgx_a100_hdr_cluster())
+        .with_checkpoint(spec)
+        .sweep(
+            &models::llama2_13b(),
+            &workload,
+            &SweepSpace::power_of_two(64),
+        );
+    assert!(report.frontier.iter().all(|r| r.goodput.is_some()));
+    assert_golden(&report.frontier, "sweep_weibull_tiered_frontier.json");
+}
+
+/// `cargo run -p optimus-experiments --bin fig6` — the technology-node
+/// DSE, as the comma-joined rows `results/fig6.csv` holds.
+#[test]
+fn fig6_dse_csv_is_byte_identical_to_the_fixture() {
+    let path = format!("{}/tests/golden/fig6.csv", env!("CARGO_MANIFEST_DIR"));
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let csv: String = optimus_experiments::fig6::csv()
+        .iter()
+        .map(|row| row.join(",") + "\n")
+        .collect();
+    assert_eq!(csv, golden, "the Fig 6 DSE drifted from the fig6.csv fixture");
 }
