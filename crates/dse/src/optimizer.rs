@@ -22,7 +22,10 @@ pub struct DseResult {
     pub best: DsePoint,
     /// Every accepted iterate, in order (for convergence plots).
     pub history: Vec<DsePoint>,
-    /// Total objective evaluations spent.
+    /// Objective calls the optimizer actually made. Gradient descent
+    /// probes four points per gradient and one per step, but reuses its
+    /// gradient across rejected steps and may stop early, so it can
+    /// spend fewer than `1 + 5 × iterations`.
     pub evaluations: usize,
 }
 
@@ -73,6 +76,9 @@ impl GradientDescent {
     ///
     /// The step size halves whenever a step fails to improve, giving the
     /// usual robust backtracking behaviour on noisy analytical objectives.
+    /// A rejected step leaves the iterate where it was, so the next
+    /// iteration reuses the gradient instead of re-probing the same four
+    /// points: `objective` must be a pure function of the allocation.
     pub fn minimize<F>(&self, space: &SearchSpace, mut objective: F) -> DseResult
     where
         F: FnMut(Allocation) -> f64,
@@ -90,16 +96,21 @@ impl GradientDescent {
             objective: current_val,
         }];
         let mut lr = self.learning_rate;
+        // The central-difference gradient at `current`, until it moves.
+        let mut gradient: Option<(f64, f64)> = None;
 
         for _ in 0..self.iterations {
             let (c, s) = (current.compute.get(), current.sram.get());
-            // Central differences on both coordinates (projected).
-            let g_c = (eval(space.project(c + self.probe, s), &mut evals)
-                - eval(space.project(c - self.probe, s), &mut evals))
-                / (2.0 * self.probe);
-            let g_s = (eval(space.project(c, s + self.probe), &mut evals)
-                - eval(space.project(c, s - self.probe), &mut evals))
-                / (2.0 * self.probe);
+            let (g_c, g_s) = *gradient.get_or_insert_with(|| {
+                // Central differences on both coordinates (projected).
+                let g_c = (eval(space.project(c + self.probe, s), &mut evals)
+                    - eval(space.project(c - self.probe, s), &mut evals))
+                    / (2.0 * self.probe);
+                let g_s = (eval(space.project(c, s + self.probe), &mut evals)
+                    - eval(space.project(c, s - self.probe), &mut evals))
+                    / (2.0 * self.probe);
+                (g_c, g_s)
+            });
 
             let norm = (g_c * g_c + g_s * g_s).sqrt();
             if norm < 1e-12 || lr < 1e-5 {
@@ -110,6 +121,7 @@ impl GradientDescent {
             if candidate_val < current_val {
                 current = candidate;
                 current_val = candidate_val;
+                gradient = None;
                 history.push(DsePoint {
                     allocation: current,
                     objective: current_val,

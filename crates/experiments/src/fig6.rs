@@ -70,6 +70,29 @@ fn objective_time(cluster: &ClusterSpec) -> f64 {
         .unwrap_or(f64::INFINITY)
 }
 
+/// The descent every point of the figure runs.
+pub const DESCENT: GradientDescent = GradientDescent {
+    iterations: 24,
+    learning_rate: 0.08,
+    probe: 5e-3,
+};
+
+/// The DSE objective at one `(node, hbm, network)` point: the GPT-7B
+/// training time on a cluster of accelerators synthesized with the given
+/// allocation.
+pub fn objective(
+    engine: &UArchEngine,
+    node: TechNode,
+    hbm: DramTechnology,
+    network_gbps: f64,
+) -> impl Fn(Allocation) -> f64 + '_ {
+    let budget = optimus::tech::ResourceBudget::datacenter_gpu();
+    move |alloc| {
+        let acc = engine.synthesize(node, budget, alloc, hbm);
+        objective_time(&cluster_for(acc, network_gbps))
+    }
+}
+
 /// Runs the DSE at one `(node, hbm, network)` point and returns the
 /// optimized execution time.
 #[must_use]
@@ -79,17 +102,10 @@ pub fn optimize_point(
     hbm: DramTechnology,
     network_gbps: f64,
 ) -> Point {
-    let space = SearchSpace::default();
-    let budget = optimus::tech::ResourceBudget::datacenter_gpu();
-    let result = GradientDescent {
-        iterations: 24,
-        learning_rate: 0.08,
-        probe: 5e-3,
-    }
-    .minimize(&space, |alloc: Allocation| {
-        let acc = engine.synthesize(node, budget, alloc, hbm);
-        objective_time(&cluster_for(acc, network_gbps))
-    });
+    let result = DESCENT.minimize(
+        &SearchSpace::default(),
+        objective(engine, node, hbm, network_gbps),
+    );
     Point {
         node,
         hbm,

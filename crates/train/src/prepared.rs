@@ -21,6 +21,7 @@
 //! byte-identical to a naive per-point evaluation (a property the
 //! `optimus-sweep` integration tests pin down).
 
+use crate::resilience::ReworkTable;
 use crate::{
     CheckpointSpec, GemmBoundSplit, StackContext, TrainError, TrainingBreakdown, TrainingConfig,
     TrainingReport,
@@ -147,6 +148,9 @@ pub struct PreparedTrainingEstimator<'a> {
     comm: CommModel,
     flash: bool,
     checkpoint: CheckpointSpec,
+    /// Expected-rework memo of `checkpoint`, built with it: one set of
+    /// Weibull uptime draws for every point this estimator prices.
+    rework: ReworkTable,
     /// Useful model FLOPs per batch — a function of (model, batch, seq)
     /// only, so computed once at prepare time.
     model_flops: FlopCount,
@@ -165,6 +169,7 @@ impl<'a> PreparedTrainingEstimator<'a> {
         seq: usize,
     ) -> Self {
         let model_flops = compute_model_flops(&model, batch, seq);
+        let checkpoint = CheckpointSpec::none();
         Self {
             cluster,
             roofline: RooflineModel::new(cluster.accelerator()),
@@ -175,7 +180,8 @@ impl<'a> PreparedTrainingEstimator<'a> {
             recompute: RecomputeMode::None,
             comm: CommModel::Auto,
             flash: false,
-            checkpoint: CheckpointSpec::none(),
+            rework: ReworkTable::new(&checkpoint),
+            checkpoint,
             model_flops,
             cache: RwLock::new(HashMap::new()),
         }
@@ -226,9 +232,11 @@ impl<'a> PreparedTrainingEstimator<'a> {
     /// default [`CheckpointSpec::none`] leaves reports untouched; an
     /// active spec attaches a resilience section with the
     /// failure-expected batch time (a pure assembly-phase computation —
-    /// the layer-cost memo table is unaffected).
+    /// the layer-cost memo table is unaffected). A Weibull `k ≠ 1` spec
+    /// takes its rework uptime draws here, once for every later estimate.
     #[must_use]
     pub fn with_checkpoint(mut self, checkpoint: CheckpointSpec) -> Self {
+        self.rework = ReworkTable::new(&checkpoint);
         self.checkpoint = checkpoint;
         self
     }
@@ -238,6 +246,14 @@ impl<'a> PreparedTrainingEstimator<'a> {
     #[must_use]
     pub fn cached_keys(&self) -> usize {
         self.cache.read().expect("layer-cost cache poisoned").len()
+    }
+
+    /// Number of distinct `(cluster MTBF, τ, δ)` expected-rework keys
+    /// materialized so far. Only a Weibull `k ≠ 1` spec materializes
+    /// any: the exponential rework `τ/2` is never tabled.
+    #[must_use]
+    pub fn rework_keys(&self) -> usize {
+        self.rework.keys()
     }
 
     /// Phase-2 evaluation of one strategy point, computing the memory
@@ -349,7 +365,7 @@ impl<'a> PreparedTrainingEstimator<'a> {
         let system_peak = peak * p.total_gpus() as f64;
         let mfu = self.model_flops.get() / (system_peak.get() * time_per_batch.secs());
 
-        let resilience = self.checkpoint.evaluate_stack(
+        let resilience = self.checkpoint.evaluate_with_table(
             &StackContext {
                 cluster: self.cluster,
                 memory: &memory,
@@ -359,6 +375,7 @@ impl<'a> PreparedTrainingEstimator<'a> {
                 time_per_batch,
             },
             &|dp| self.reprice_dp(p, precision, dp).ok(),
+            &self.rework,
         );
 
         Ok(TrainingReport {
@@ -619,6 +636,60 @@ mod tests {
             .estimate(Parallelism::new(1, 2, 1), Precision::Bf16)
             .unwrap();
         assert_eq!(prepared.cached_keys(), 2);
+    }
+
+    /// The microbatch size moves neither the checkpoint shard, the device
+    /// count nor the tier write times, so re-pricing one (tp, pp, dp,
+    /// precision) at other microbatch sizes replays the rework memo.
+    #[test]
+    fn rework_memo_grows_only_per_distinct_key() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let spec = CheckpointSpec::with_mtbf(1e4)
+            .with_restart(900.0)
+            .with_process(optimus_hw::FailureProcess::Weibull { shape: 0.7 })
+            .with_tiers(vec![
+                crate::CheckpointTier::peer(),
+                crate::CheckpointTier::delta(),
+            ])
+            .with_elastic(true);
+        let prepared =
+            PreparedTrainingEstimator::new(&cluster, Arc::new(models::llama2_13b()), 64, 2048)
+                .with_recompute(RecomputeMode::Selective)
+                .with_checkpoint(spec);
+        assert_eq!(prepared.rework_keys(), 0);
+        let point = |mb| Parallelism::new(4, 4, 2).with_microbatch(mb);
+        prepared.estimate(point(1), Precision::Fp16).unwrap();
+        let keys = prepared.rework_keys();
+        assert!(keys > 0);
+        for mb in [2, 4, 8] {
+            let report = prepared.estimate(point(mb), Precision::Fp16).unwrap();
+            assert!(report.resilience.is_some());
+            assert_eq!(prepared.rework_keys(), keys, "microbatch {mb}");
+        }
+    }
+
+    #[test]
+    fn closed_form_rework_materializes_no_key() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        for process in [
+            optimus_hw::FailureProcess::Exponential,
+            optimus_hw::FailureProcess::Weibull { shape: 1.0 },
+        ] {
+            let spec = CheckpointSpec::with_mtbf(1e4)
+                .with_restart(900.0)
+                .with_process(process)
+                .with_tier(crate::CheckpointTier::delta());
+            let prepared =
+                PreparedTrainingEstimator::new(&cluster, Arc::new(models::llama2_13b()), 64, 2048)
+                    .with_checkpoint(spec);
+            for tp in [1, 2, 4, 8] {
+                let report = prepared
+                    .estimate(Parallelism::new(2, tp, 4), Precision::Fp16)
+                    .unwrap();
+                assert!(report.resilience.is_some());
+            }
+            assert_eq!(prepared.rework_keys(), 0, "{process:?}");
+        }
     }
 
     /// Errors memoize too: an unsupported precision fails identically on

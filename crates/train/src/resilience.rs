@@ -51,7 +51,12 @@
 //!   refines the expected rework with a seeded splitmix64 renewal
 //!   simulation, same stream discipline as `optimus-serve`'s fault
 //!   streams), and a correlated rack process whose rack-sized events
-//!   take out whole DP groups at once.
+//!   take out whole DP groups at once. The simulation's uptime draws are
+//!   taken once per rework table — once per
+//!   [`crate::PreparedTrainingEstimator`], so once per strategy sweep —
+//!   and each expected rework is memoized under its
+//!   `(cluster MTBF, τ, δ)` key: the 532 points of a 64-GPU tiered
+//!   elastic sweep share 122 keys.
 //! * **Elastic training** ([`CheckpointSpec::elastic`]): instead of a
 //!   full restart, drop the DP groups inside the blast radius, re-warm in
 //!   [`CheckpointSpec::rewarm_s`] seconds, and keep training at degraded
@@ -75,6 +80,8 @@ use optimus_units::{Bytes, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::RwLock;
 
 /// Default fraction of the sharded optimizer state captured by a
 /// [`TierKind::PersistentDelta`] checkpoint.
@@ -85,9 +92,11 @@ pub const DELTA_FRACTION_DEFAULT: f64 = 0.25;
 /// streams).
 const REWORK_STREAM: u64 = 0x8C5F_4A3B_2E1D_0F97;
 
-/// Uptime draws per Weibull rework estimate. All `(τ, δ)` pairs of one
-/// evaluation reuse the same draws (common random numbers), so tier
-/// comparisons are noise-free and deterministic.
+/// Uptime draws per Weibull rework estimate. A `ReworkTable` takes them
+/// once, as unit-scale draws, and scales them to each cluster MTBF: every
+/// strategy point and every `(τ, δ)` pair reuses the same draws (common
+/// random numbers), so tier and strategy comparisons are noise-free and
+/// deterministic.
 const REWORK_SAMPLES: usize = 2048;
 
 /// What one extra checkpoint tier writes and where it survives.
@@ -519,6 +528,19 @@ impl CheckpointSpec {
         ctx: &StackContext<'_>,
         reprice: &dyn Fn(usize) -> Option<Time>,
     ) -> Option<ResilienceReport> {
+        self.evaluate_with_table(ctx, reprice, &ReworkTable::new(self))
+    }
+
+    /// [`Self::evaluate_stack`] with the expected rework looked up in
+    /// `rework`, which must have been built from this spec. The prepared
+    /// estimator keeps one table for every point it prices; the one-shot
+    /// entry points build a fresh one per call.
+    pub(crate) fn evaluate_with_table(
+        &self,
+        ctx: &StackContext<'_>,
+        reprice: &dyn Fn(usize) -> Option<Time>,
+        rework: &ReworkTable,
+    ) -> Option<ResilienceReport> {
         if !self.has_failures() || ctx.gpus == 0 {
             return None;
         }
@@ -550,21 +572,6 @@ impl CheckpointSpec {
         let dp = ctx.parallelism.map_or(1, |p| p.dp);
         let classes = self.failure_classes(ctx.parallelism, gpus, dp);
         let priced = self.price_tiers(ctx, checkpoint_bytes, cluster_mtbf, dp);
-        // Weibull (k ≠ 1) refines the expected in-interval rework with a
-        // seeded renewal simulation; one set of uptime draws is shared by
-        // every (τ, δ) pair so tier comparisons use common random numbers.
-        let draws = match self.process {
-            FailureProcess::Weibull { shape } if shape != 1.0 => {
-                Some(draw_weibull_uptimes(shape, cluster_mtbf, self.seed))
-            }
-            _ => None,
-        };
-        let rework_of = |tau: f64, write_s: f64| -> f64 {
-            match &draws {
-                Some(d) => expected_rework_from_draws(d, tau, write_s),
-                None => tau / 2.0,
-            }
-        };
 
         let restart_frac = self.restart_s / cluster_mtbf;
         let repair_frac_v = self.repair_s / cluster_mtbf;
@@ -616,7 +623,7 @@ impl CheckpointSpec {
                         write_c = t.write.secs();
                     }
                 }
-                let rework_s = rework_of(tau_c, write_c);
+                let rework_s = rework.expected(cluster_mtbf, tau_c, write_c);
                 rework_frac += class.weight * (rework_s / cluster_mtbf);
 
                 // Recovery strategy: full restart stops for restart_s and
@@ -899,31 +906,96 @@ struct Candidate {
     elastic_detail: Option<ElasticDetail>,
 }
 
-/// `REWORK_SAMPLES` cluster uptime draws from a Weibull process with the
-/// given shape and mean, deterministically seeded.
-fn draw_weibull_uptimes(shape: f64, mean_s: f64, seed: u64) -> Vec<f64> {
-    let scale = weibull_scale(mean_s, shape);
-    let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ REWORK_STREAM));
-    let inv_shape = 1.0 / shape;
-    (0..REWORK_SAMPLES)
-        .map(|_| {
-            let u: f64 = rng.gen_range(0.0..1.0);
-            scale * (-(1.0 - u).ln()).powf(inv_shape)
-        })
-        .collect()
+/// The expected rework per failure of one [`CheckpointSpec`], memoized.
+///
+/// Under an exponential process (and Weibull `k = 1`) a failure loses
+/// half an interval on average, `τ/2`, and the table holds nothing. Under
+/// Weibull `k ≠ 1` the table draws [`REWORK_SAMPLES`] unit-scale uptimes
+/// `(-ln(1 - u))^{1/k}` once from the spec's seed; a cluster MTBF `M`
+/// scales them by the Weibull scale of mean `M`, and the estimate
+/// `E[min(U mod (τ+δ), τ)]` is memoized under the f64 bits of
+/// `(M, τ, δ)` — the only inputs it depends on.
+///
+/// Every value is a pure function of its key, so a racing duplicate
+/// computation publishes the identical value and results never depend on
+/// evaluation order or thread count.
+#[derive(Debug)]
+pub(crate) struct ReworkTable {
+    /// Weibull shape of the draws (unused when `unit_draws` is empty).
+    shape: f64,
+    /// Unit-scale uptime draws; empty for the `τ/2` closed form.
+    unit_draws: Vec<f64>,
+    /// Expected rework keyed on the bits of `(cluster MTBF, τ, δ)`.
+    memo: RwLock<HashMap<[u64; 3], f64>>,
 }
 
-/// Expected useful work lost per failure, `E[min(U mod (τ+δ), τ)]`,
-/// estimated over the shared uptime draws: work alternates `τ` useful
-/// seconds with a `δ`-second snapshot, and a failure at uptime `U` loses
-/// whatever of the current interval is uncheckpointed.
-fn expected_rework_from_draws(draws: &[f64], tau: f64, write_s: f64) -> f64 {
-    if tau.is_nan() || tau <= 0.0 {
-        return 0.0;
+impl ReworkTable {
+    /// The table of `spec`: draws only for an active Weibull `k ≠ 1`
+    /// process.
+    pub(crate) fn new(spec: &CheckpointSpec) -> Self {
+        let (shape, unit_draws) = match spec.process {
+            FailureProcess::Weibull { shape } if shape != 1.0 && spec.has_failures() => {
+                let mut rng = StdRng::seed_from_u64(splitmix64(spec.seed ^ REWORK_STREAM));
+                let inv_shape = 1.0 / shape;
+                let draws = (0..REWORK_SAMPLES)
+                    .map(|_| {
+                        let u: f64 = rng.gen_range(0.0..1.0);
+                        (-(1.0 - u).ln()).powf(inv_shape)
+                    })
+                    .collect();
+                (shape, draws)
+            }
+            _ => (1.0, Vec::new()),
+        };
+        Self {
+            shape,
+            unit_draws,
+            memo: RwLock::new(HashMap::new()),
+        }
     }
-    let period = tau + write_s;
-    let total: f64 = draws.iter().map(|u| (u % period).min(tau)).sum();
-    total / draws.len() as f64
+
+    /// Number of distinct `(cluster MTBF, τ, δ)` keys materialized so far.
+    pub(crate) fn keys(&self) -> usize {
+        self.memo.read().expect("rework memo poisoned").len()
+    }
+
+    /// Expected useful work lost per failure on a cluster with MTBF
+    /// `cluster_mtbf` that snapshots every `tau` useful seconds at
+    /// `write_s` seconds per snapshot.
+    pub(crate) fn expected(&self, cluster_mtbf: f64, tau: f64, write_s: f64) -> f64 {
+        if self.unit_draws.is_empty() {
+            return tau / 2.0;
+        }
+        let key = [cluster_mtbf.to_bits(), tau.to_bits(), write_s.to_bits()];
+        if let Some(&hit) = self.memo.read().expect("rework memo poisoned").get(&key) {
+            return hit;
+        }
+        let computed = self.simulate(cluster_mtbf, tau, write_s);
+        self.memo
+            .write()
+            .expect("rework memo poisoned")
+            .entry(key)
+            .or_insert(computed);
+        computed
+    }
+
+    /// The memo-miss path, `E[min(U mod (τ+δ), τ)]` over the scaled
+    /// draws: work alternates `τ` useful seconds with a `δ`-second
+    /// snapshot, and a failure at uptime `U` loses whatever of the
+    /// current interval is uncheckpointed.
+    fn simulate(&self, cluster_mtbf: f64, tau: f64, write_s: f64) -> f64 {
+        if tau.is_nan() || tau <= 0.0 {
+            return 0.0;
+        }
+        let scale = weibull_scale(cluster_mtbf, self.shape);
+        let period = tau + write_s;
+        let total: f64 = self
+            .unit_draws
+            .iter()
+            .map(|x| ((scale * x) % period).min(tau))
+            .sum();
+        total / self.unit_draws.len() as f64
+    }
 }
 
 /// The Young–Daly optimal checkpoint interval `√(2 δ M)` for a
@@ -1393,6 +1465,72 @@ mod tests {
             exp.process.is_none(),
             "exponential reports omit the process"
         );
+    }
+
+    /// The draw-and-sum every evaluation ran before the rework memo: a
+    /// fresh set of scaled draws per call, summed per `(τ, δ)`.
+    fn reference_rework(shape: f64, mean_s: f64, seed: u64, tau: f64, write_s: f64) -> f64 {
+        let scale = weibull_scale(mean_s, shape);
+        let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ REWORK_STREAM));
+        let inv_shape = 1.0 / shape;
+        let draws: Vec<f64> = (0..REWORK_SAMPLES)
+            .map(|_| {
+                let u: f64 = rng.gen_range(0.0..1.0);
+                scale * (-(1.0 - u).ln()).powf(inv_shape)
+            })
+            .collect();
+        if tau.is_nan() || tau <= 0.0 {
+            return 0.0;
+        }
+        let period = tau + write_s;
+        let total: f64 = draws.iter().map(|u| (u % period).min(tau)).sum();
+        total / draws.len() as f64
+    }
+
+    #[test]
+    fn rework_table_matches_the_per_call_draws_bit_for_bit() {
+        for shape in [0.5, 0.7, 1.5, 3.0] {
+            for seed in [0, 7] {
+                let spec = CheckpointSpec::with_mtbf(1e4)
+                    .with_process(FailureProcess::Weibull { shape })
+                    .with_seed(seed);
+                let table = ReworkTable::new(&spec);
+                let mut keys = 0;
+                for mean in [37.5, 156.25, 1e4, 3.3e6] {
+                    for tau in [-1.0, 0.0, f64::NAN, 1e-3, 12.0, 600.0, 1e5] {
+                        for write_s in [0.0, 0.25, 45.0] {
+                            let want = reference_rework(shape, mean, seed, tau, write_s);
+                            // The miss computes, the hit replays the memo.
+                            for _ in 0..2 {
+                                let got = table.expected(mean, tau, write_s);
+                                assert_eq!(
+                                    got.to_bits(),
+                                    want.to_bits(),
+                                    "k={shape} seed={seed} M={mean} τ={tau} δ={write_s}"
+                                );
+                            }
+                            keys += 1;
+                        }
+                    }
+                }
+                assert_eq!(table.keys(), keys, "one key per distinct (M, τ, δ)");
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_rework_tables_hold_no_draws() {
+        for process in [
+            FailureProcess::Exponential,
+            FailureProcess::Weibull { shape: 1.0 },
+        ] {
+            let table = ReworkTable::new(&CheckpointSpec::with_mtbf(1e4).with_process(process));
+            assert!(table.unit_draws.is_empty());
+            assert_eq!(table.expected(300.0, 12.0, 0.5).to_bits(), 6.0f64.to_bits());
+            assert_eq!(table.keys(), 0, "τ/2 is never tabled");
+        }
+        let inactive = CheckpointSpec::none().with_process(FailureProcess::Weibull { shape: 0.7 });
+        assert!(ReworkTable::new(&inactive).unit_draws.is_empty());
     }
 
     #[test]

@@ -449,5 +449,8 @@ fn fig6_dse_csv_is_byte_identical_to_the_fixture() {
         .iter()
         .map(|row| row.join(",") + "\n")
         .collect();
-    assert_eq!(csv, golden, "the Fig 6 DSE drifted from the fig6.csv fixture");
+    assert_eq!(
+        csv, golden,
+        "the Fig 6 DSE drifted from the fig6.csv fixture"
+    );
 }
