@@ -48,17 +48,35 @@
 //!   elastic recovery); the CSV is the Fig 6 technology-node DSE,
 //!   replayed through `optimus_experiments::fig6::csv()`.
 //!
+//! * **Roofline-pricing fixtures** (`table2_reports.json`,
+//!   `fig9_reports.json`, `fig7_gemm_split.json`), captured at commit
+//!   `45c48e8` — before kernel costs dropped their labels, before the
+//!   decode loop re-costed only the context-dependent attention
+//!   operators, and before the training layer pass filed each GEMM into
+//!   the bound split while costing it — pin those paths at full f64
+//!   precision. The experiment CSVs round to 1–3 decimals, so they
+//!   cannot. Table 2 keeps every row's whole `InferenceReport` on A100
+//!   and H100; Fig 9 every swept cluster's (and the H100-HBM3e
+//!   reference's) at TP 2 and 8; Fig 7 every node's
+//!   `TrainingReport::layer_gemm_split` for the three HBM panels.
+//!
 //! Each test replays the exact invocation that produced its fixture
 //! in-process, compares the pretty JSON byte-for-byte, and checks that
 //! parsing the fixture and re-serializing it gives the fixture back.
 
-use optimus::hw::presets;
+use optimus::hw::memtech::DramTechnology;
+use optimus::hw::nettech::{self, NvlinkGen};
+use optimus::hw::{presets, ClusterSpec, NodeSpec};
 use optimus::memory::RecomputeMode;
 use optimus::model::presets as models;
+use optimus::prelude::{refdata, Bandwidth, InferenceConfig, InferenceEstimator, InferenceReport};
 use optimus::prelude::{
     CheckpointSpec, Parallelism, PipelineSchedule, TrainingConfig, TrainingEstimator,
 };
 use optimus::prelude::{CheckpointTier, FailureProcess};
+use optimus::tech::{TechNode, UArchEngine};
+use optimus::train::GemmBoundSplit;
+use optimus_experiments::{fig7, fig9};
 use optimus_serve::{
     simulate, simulate_fleet, ArrivalProcess, FaultSpec, FleetConfig, KvSpec, LengthDist,
     PrefixSpec, RouterPolicy, Scheduler, ServeConfig, TraceSpec,
@@ -453,4 +471,129 @@ fn fig6_dse_csv_is_byte_identical_to_the_fixture() {
         csv, golden,
         "the Fig 6 DSE drifted from the fig6.csv fixture"
     );
+}
+
+/// One Table 2 row at full precision: the whole `InferenceReport` on
+/// each device column, not the rounded milliseconds of the CSV.
+#[derive(Debug, serde::Serialize, serde::Deserialize)]
+struct Table2Reports {
+    model: String,
+    tp: usize,
+    a100: InferenceReport,
+    h100: InferenceReport,
+}
+
+/// One Fig 9 bar (or H100 reference line) at full precision.
+#[derive(Debug, serde::Serialize, serde::Deserialize)]
+struct Fig9Report {
+    cluster: String,
+    tp: usize,
+    report: InferenceReport,
+}
+
+/// One Fig 7 bar at full precision: the layer's GEMM bound split.
+#[derive(Debug, serde::Serialize, serde::Deserialize)]
+struct Fig7Split {
+    node: TechNode,
+    hbm: DramTechnology,
+    split: GemmBoundSplit,
+}
+
+/// `cargo run -p optimus-experiments --bin table2`, every row's full
+/// report: the one-shot decode loop over 200 contexts on both devices.
+#[test]
+fn table2_inference_reports_are_byte_identical_to_the_fixture() {
+    let a100 = presets::dgx_a100_hdr_cluster();
+    let h100 = presets::dgx_h100_ndr_cluster();
+    let rows: Vec<Table2Reports> = refdata::table2()
+        .into_iter()
+        .map(|row| {
+            let cfg = InferenceConfig::nvidia_llama_benchmark(
+                models::by_name(row.model).unwrap(),
+                row.tp,
+            );
+            Table2Reports {
+                model: row.model.to_owned(),
+                tp: row.tp,
+                a100: InferenceEstimator::new(&a100).estimate(&cfg).unwrap(),
+                h100: InferenceEstimator::new(&h100).estimate(&cfg).unwrap(),
+            }
+        })
+        .collect();
+    assert_golden(&rows, "table2_reports.json");
+}
+
+/// `cargo run -p optimus-experiments --bin fig9`, every cluster's full
+/// report at TP 2 and 8: the A100 die with each swept DRAM stack and
+/// NVLink generation, then the H100-HBM3e reference lines.
+#[test]
+fn fig9_inference_reports_are_byte_identical_to_the_fixture() {
+    let mut clusters: Vec<ClusterSpec> = fig9::sweep()
+        .into_iter()
+        .map(|(dram, nvlink)| {
+            let acc = presets::a100_sxm_80gb()
+                .with_dram(dram.typical_capacity(), dram.bandwidth())
+                .renamed(format!("A100-{dram}"));
+            presets::single_node_cluster(
+                format!("{dram}-{nvlink}"),
+                NodeSpec::new(acc, 8, nvlink.link()),
+            )
+        })
+        .collect();
+    let h100 = presets::h100_sxm()
+        .with_dram(
+            DramTechnology::Hbm3e.typical_capacity(),
+            DramTechnology::Hbm3e.bandwidth(),
+        )
+        .renamed("H100-HBM3e");
+    clusters.push(presets::single_node_cluster(
+        "H100-HBM3e-NV4",
+        NodeSpec::new(h100, 8, NvlinkGen::Gen4.link()),
+    ));
+    let mut reports = Vec::new();
+    for cluster in &clusters {
+        for tp in [2, 8] {
+            let cfg = InferenceConfig::nvidia_llama_benchmark(models::llama2_13b(), tp);
+            reports.push(Fig9Report {
+                cluster: cluster.name.clone(),
+                tp,
+                report: InferenceEstimator::new(cluster).estimate(&cfg).unwrap(),
+            });
+        }
+    }
+    assert_golden(&reports, "fig9_reports.json");
+}
+
+/// `cargo run -p optimus-experiments --bin fig7`, every node's
+/// `layer_gemm_split` at full precision for the three HBM panels.
+#[test]
+fn fig7_gemm_bound_splits_are_byte_identical_to_the_fixture() {
+    let engine = UArchEngine::a100_at_n7();
+    let case = refdata::case_gpt7b();
+    let model = models::by_name(case.model).unwrap();
+    let mut splits = Vec::new();
+    for hbm in fig7::panels() {
+        for &node in TechNode::all() {
+            let node_spec = NodeSpec::new(
+                engine.synthesize_at_node(node, hbm),
+                8,
+                NvlinkGen::Gen3.link(),
+            );
+            let inter = nettech::infiniband(
+                "IB-100GBps",
+                Bandwidth::from_gb_per_sec(100.0),
+                node_spec.gpus_per_node,
+            );
+            let cluster = ClusterSpec::new("fig7", node_spec, inter);
+            let cfg = TrainingConfig::new(model.clone(), case.batch, case.seq, case.parallelism())
+                .with_recompute(RecomputeMode::Selective);
+            let report = TrainingEstimator::new(&cluster).estimate(&cfg).unwrap();
+            splits.push(Fig7Split {
+                node,
+                hbm,
+                split: report.layer_gemm_split,
+            });
+        }
+    }
+    assert_golden(&splits, "fig7_gemm_split.json");
 }
