@@ -1,13 +1,13 @@
 //! The memoized two-phase inference estimator.
 //!
 //! An inference sweep evaluates every feasible (TP, precision) pair of one
-//! (model, cluster, request-shape) triple, and the decode loop alone costs
-//! `generate` operator-graph traversals per point. The per-step kernel
-//! costs depend only on `(seq, kv_len, tp, precision)` — and the
-//! embedding/LM-head stage does not even see `kv_len`, so all decode steps
-//! of a point share one entry. [`PreparedInferenceEstimator`] holds the
-//! roofline and two concurrent memo tables over those keys; per-point
-//! evaluation reduces to lookups plus the communication and assembly
+//! (model, cluster, request-shape) triple, and the decode loop alone walks
+//! `generate` contexts per point. Only the attention core of a decode layer
+//! reads the context (the embedding/LM-head stage never does), so all
+//! decode steps of a point share one head entry and one layer base, and a
+//! step re-costs just its attention core. [`PreparedInferenceEstimator`]
+//! holds the roofline and the concurrent memo tables; per-point evaluation
+//! reduces to lookups, those re-costs, and the communication and assembly
 //! arithmetic.
 //!
 //! Memo values are pure functions of their keys, so concurrent fill order
@@ -23,6 +23,7 @@ use optimus_parallel::{CommPlan, Parallelism};
 use optimus_roofline::{KernelCost, RooflineModel};
 use optimus_units::{Bytes, FlopCount, Time};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, RwLock};
 
 /// Cost of one operator list: bound-type time breakdown, the
@@ -37,18 +38,62 @@ struct StepCost {
     gemms: Vec<GemmAnalysis>,
 }
 
+impl StepCost {
+    /// Files one operator's kernel: its roofline time under its bound
+    /// type, its fixed overhead under `overhead`, its volumes, and (for a
+    /// GEMM) its analysis row.
+    fn add(&mut self, op: &Op, cost: &KernelCost) {
+        let t = cost.roofline_time();
+        if cost.bound().is_compute() {
+            self.bd.compute += t;
+        } else {
+            self.bd.memory += t;
+        }
+        self.bd.overhead += cost.overhead;
+        self.flops += cost.flops;
+        self.dram += cost.dram_traffic();
+        if let OpKind::Gemm(_) = op.kind {
+            self.gemms.push(GemmAnalysis {
+                role: op.role,
+                time: cost.total(),
+                bound: cost.bound(),
+            });
+        }
+    }
+}
+
+/// The context-independent part of one decode layer at a `(batch, tp,
+/// precision)`: its operators at a representative context and their
+/// kernel costs. Under decode only the attention core (`AttnScores`,
+/// `Softmax`, the optional `AttnDropout`, `AttnOverValues`) reads the
+/// context, so [`PreparedInferenceEstimator::decode_layer`] re-costs only
+/// those operators per context and reuses every other cost from here.
+#[derive(Debug)]
+struct DecodeBase {
+    ops: Vec<Op>,
+    costs: Vec<KernelCost>,
+}
+
 /// Memo key of one transformer layer's kernels: `(batch, seq, kv_len, tp,
-/// precision)`. `seq` is the prompt length for prefill and 1 for decode;
-/// `kv_len` is the attention context. A one-shot estimate uses a single
-/// batch value, but the serving iteration APIs vary it — continuous
-/// batching grows and shrinks the decode batch every iteration — so the
-/// batch is part of the key.
+/// precision)`. `seq` is the prompt length for prefill and 1 for a
+/// serving decode iteration; `kv_len` is the attention context. A one-shot
+/// estimate uses a single batch value, but the serving iteration APIs vary
+/// it — continuous batching grows and shrinks the decode batch every
+/// iteration — so the batch is part of the key. The one-shot decode loop
+/// does not enter this table.
 type LayerKey = (usize, usize, usize, usize, Precision);
+
+/// Memo key of the context-independent decode layer base: `(batch, tp,
+/// precision)`.
+type DecodeKey = (usize, usize, Precision);
 
 /// Memo key of the embedding + LM-head stage: `(batch, seq, tp,
 /// precision)` — these ops never read the attention context, which is what
 /// collapses the whole decode loop's head work onto a single entry.
 type ExtraKey = (usize, usize, usize, Precision);
+
+/// A concurrent memo table; errors memoize too.
+type MemoTable<K, V> = RwLock<HashMap<K, Result<Arc<V>, HwError>>>;
 
 /// Phase-1 state of the two-phase inference estimator: the roofline and
 /// the per-step kernel-cost memo tables, fixed to one (model, cluster,
@@ -78,8 +123,9 @@ pub struct PreparedInferenceEstimator<'a> {
     prefill: usize,
     generate: usize,
     comm: CommModel,
-    layer_cache: RwLock<HashMap<LayerKey, Result<Arc<StepCost>, HwError>>>,
-    extra_cache: RwLock<HashMap<ExtraKey, Result<Arc<StepCost>, HwError>>>,
+    layer_cache: MemoTable<LayerKey, StepCost>,
+    decode_cache: MemoTable<DecodeKey, DecodeBase>,
+    extra_cache: MemoTable<ExtraKey, StepCost>,
 }
 
 impl<'a> PreparedInferenceEstimator<'a> {
@@ -111,6 +157,7 @@ impl<'a> PreparedInferenceEstimator<'a> {
             generate,
             comm: CommModel::Auto,
             layer_cache: RwLock::new(HashMap::new()),
+            decode_cache: RwLock::new(HashMap::new()),
             extra_cache: RwLock::new(HashMap::new()),
         }
     }
@@ -149,8 +196,10 @@ impl<'a> PreparedInferenceEstimator<'a> {
     /// Number of distinct per-step kernel keys materialized so far.
     #[must_use]
     pub fn cached_keys(&self) -> usize {
-        self.layer_cache.read().expect("layer cache poisoned").len()
-            + self.extra_cache.read().expect("extra cache poisoned").len()
+        fn len<K, V>(table: &MemoTable<K, V>) -> usize {
+            table.read().expect("memo table poisoned").len()
+        }
+        len(&self.layer_cache) + len(&self.decode_cache) + len(&self.extra_cache)
     }
 
     /// Phase-2 evaluation of one (TP, precision) point, computing the
@@ -215,23 +264,32 @@ impl<'a> PreparedInferenceEstimator<'a> {
         let prefill_time = prefill_bd.total();
 
         // --- decode loop (exact, token by token) ---------------------------
+        // Only the attention core reads the context: the layer base, the
+        // head stage and the all-reduce terms are the same at every step.
         let mut decode_bd = InferenceBreakdown::default();
         let decode_comm_volume =
             Bytes::new((self.batch * self.model.hidden) as f64 * precision.bytes());
+        let decode_comm = plan.tp_layer_inference(decode_comm_volume) * layers;
+        let decode_wire = plan.tp_layer_forward_wire_bytes(decode_comm_volume) * layers;
+        let first = GraphParams::decode(self.batch, 1, tp, precision);
+        let base = self.decode_base(&first)?;
+        let extra = self.extra_cost(&first)?;
+        let mut decode_gemms = Vec::new();
         for step in 0..self.generate {
             let ctx = self.prefill + step;
-            let dp = GraphParams::decode(self.batch, ctx, tp, precision);
-            let layer = self.layer_cost(&dp)?;
+            let layer =
+                self.decode_layer(&base, &GraphParams::decode(self.batch, ctx, tp, precision))?;
             add_scaled(&mut decode_bd, &layer.bd, layers);
             device_flops += layer.flops * layers;
             dram_traffic += layer.dram * layers;
-            decode_bd.communication += plan.tp_layer_inference(decode_comm_volume) * layers;
-            network_traffic += plan.tp_layer_forward_wire_bytes(decode_comm_volume) * layers;
+            decode_bd.communication += decode_comm;
+            network_traffic += decode_wire;
 
-            let extra = self.extra_cost(&dp)?;
             add_scaled(&mut decode_bd, &extra.bd, 1.0);
             device_flops += extra.flops;
             dram_traffic += extra.dram;
+            // The report's decode GEMM table is the final context's.
+            decode_gemms = layer.gemms;
         }
         let decode_time = decode_bd.total();
         let per_token = decode_time / self.generate as f64;
@@ -243,14 +301,6 @@ impl<'a> PreparedInferenceEstimator<'a> {
         // category); combine explicitly.
         breakdown.communication = prefill_bd.communication + decode_bd.communication;
 
-        // --- per-GEMM analyses ------------------------------------------------
-        // Both tables are warm memo hits: the prefill layer was costed
-        // above, and the final decode context is the last loop step.
-        let prefill_gemms = pre_layer.gemms.clone();
-        let final_ctx = self.prefill + self.generate - 1;
-        let decode_params = GraphParams::decode(self.batch, final_ctx, tp, precision);
-        let decode_gemms = self.layer_cost(&decode_params)?.gemms.clone();
-
         Ok(InferenceReport {
             total: prefill_time + decode_time,
             prefill: prefill_time,
@@ -259,7 +309,7 @@ impl<'a> PreparedInferenceEstimator<'a> {
             breakdown,
             prefill_breakdown: prefill_bd,
             memory,
-            prefill_gemms,
+            prefill_gemms: pre_layer.gemms.clone(),
             decode_gemms,
             device_flops,
             dram_traffic,
@@ -296,13 +346,7 @@ impl<'a> PreparedInferenceEstimator<'a> {
             batch > 0 && prompt > 0 && tp > 0,
             "degenerate prefill iteration"
         );
-        let gp = GraphParams::prefill(batch, prompt, tp, precision);
-        let layer = self.layer_cost(&gp)?;
-        let extra = self.extra_cost(&gp)?;
-        let layers = self.model.layers as f64;
-        let plan = CommPlan::new(self.cluster, Parallelism::tensor_parallel(tp), self.comm);
-        let volume = Bytes::new((batch * prompt * self.model.hidden) as f64 * precision.bytes());
-        Ok(layer.bd.total() * layers + plan.tp_layer_inference(volume) * layers + extra.bd.total())
+        self.iteration(&GraphParams::prefill(batch, prompt, tp, precision))
     }
 
     /// Wall-clock time of one continuous-batching **decode iteration**:
@@ -335,12 +379,19 @@ impl<'a> PreparedInferenceEstimator<'a> {
             batch > 0 && kv_len > 0 && tp > 0,
             "degenerate decode iteration"
         );
-        let gp = GraphParams::decode(batch, kv_len, tp, precision);
-        let layer = self.layer_cost(&gp)?;
-        let extra = self.extra_cost(&gp)?;
+        self.iteration(&GraphParams::decode(batch, kv_len, tp, precision))
+    }
+
+    /// One serving iteration of the pass described by `gp`: every layer,
+    /// each with its TP all-reduces over the `batch · seq` new tokens,
+    /// plus the embedding/LM-head stage.
+    fn iteration(&self, gp: &GraphParams) -> Result<Time, HwError> {
+        let layer = self.layer_cost(gp)?;
+        let extra = self.extra_cost(gp)?;
         let layers = self.model.layers as f64;
-        let plan = CommPlan::new(self.cluster, Parallelism::tensor_parallel(tp), self.comm);
-        let volume = Bytes::new((batch * self.model.hidden) as f64 * precision.bytes());
+        let plan = CommPlan::new(self.cluster, Parallelism::tensor_parallel(gp.tp), self.comm);
+        let tokens = gp.batch * gp.seq;
+        let volume = Bytes::new((tokens * self.model.hidden) as f64 * gp.precision.bytes());
         Ok(layer.bd.total() * layers + plan.tp_layer_inference(volume) * layers + extra.bd.total())
     }
 
@@ -359,14 +410,11 @@ impl<'a> PreparedInferenceEstimator<'a> {
     /// takes the locks per entry nor grows the maps, and lookups against
     /// the sealed table do zero locking and zero hashing.
     ///
-    /// The fill is row-factored. Under decode only the attention
-    /// operators read the context, so each batch row costs the layer's
-    /// operators once at its first context, and every further column
-    /// re-costs only the operators whose [`Op`] differs from that base
-    /// (`AttnScores`, `Softmax`, the optional `AttnDropout` and
-    /// `AttnOverValues`). Cached and fresh kernel costs are accumulated
-    /// in the original operator order, so every `f64` sum is the one
-    /// [`Self::decode_iteration`] computes.
+    /// The fill is row-factored through the same decode-layer
+    /// factoring [`Self::estimate`] and [`Self::decode_iteration`] use:
+    /// each batch row costs the layer's context-independent base once,
+    /// and every column re-costs only the attention-core operators, so
+    /// every `f64` sum is the one [`Self::decode_iteration`] computes.
     ///
     /// # Errors
     ///
@@ -397,44 +445,20 @@ impl<'a> PreparedInferenceEstimator<'a> {
             // volume never see the context (pinned by
             // `extra_ops_are_context_independent`) — one evaluation per
             // batch row, built at any representative context.
-            let head_gp = GraphParams::decode(batch, 1, tp, precision);
-            let extra_ops: Vec<Op> = graph::embedding_ops(&self.model, &head_gp)
-                .into_iter()
-                .chain(graph::head_ops(&self.model, &head_gp))
-                .collect();
-            let extra = self.ops_cost(&extra_ops, precision)?;
+            let first = GraphParams::decode(batch, 1, tp, precision);
+            let extra = self.cost_extra(&first)?;
             let volume = Bytes::new((batch * self.model.hidden) as f64 * precision.bytes());
             let comm = plan.tp_layer_inference(volume) * layers;
-            let layer_ops = |kv_len| {
-                graph::layer_forward_ops(
-                    &self.model,
-                    &GraphParams::decode(batch, kv_len, tp, precision),
-                )
-            };
-            let base_ops = layer_ops(kv_grid.values()[0]);
-            let base_costs = base_ops
-                .iter()
-                .map(|op| self.op_cost(op, precision))
-                .collect::<Result<Vec<_>, _>>()?;
+            // Built directly, not through the memo table, so sealing
+            // leaves the memo tables untouched.
+            let base = self.cost_decode_base(&first)?;
             for &kv_len in kv_grid.values() {
-                let ops = layer_ops(kv_len);
-                assert_eq!(
-                    ops.len(),
-                    base_ops.len(),
-                    "decode layer operator lists must not change length with the context"
-                );
-                let mut bd = InferenceBreakdown::default();
-                for ((op, base_op), base_cost) in ops.iter().zip(&base_ops).zip(&base_costs) {
-                    if op == base_op {
-                        accumulate(&mut bd, base_cost);
-                    } else {
-                        accumulate(&mut bd, &self.op_cost(op, precision)?);
-                    }
-                }
+                let layer =
+                    self.decode_layer(&base, &GraphParams::decode(batch, kv_len, tp, precision))?;
                 // Identical expression (and f64 evaluation order) to
                 // `decode_iteration`, so exact-grid entries match it
                 // bit-for-bit.
-                let total = bd.total() * layers + comm + extra.bd.total();
+                let total = layer.bd.total() * layers + comm + extra.bd.total();
                 costs.push(total.secs());
             }
         }
@@ -446,26 +470,60 @@ impl<'a> PreparedInferenceEstimator<'a> {
     }
 
     /// One transformer layer's kernels for the pass described by `gp`,
-    /// memoized on `(batch, seq, kv_len, tp, precision)`.
+    /// memoized on `(batch, seq, kv_len, tp, precision)`. A decode miss
+    /// (`seq == 1`) re-costs only the attention core against the memoized
+    /// [`DecodeBase`].
     fn layer_cost(&self, gp: &GraphParams) -> Result<Arc<StepCost>, HwError> {
         let key = (gp.batch, gp.seq, gp.kv_len, gp.tp, gp.precision);
-        if let Some(hit) = self
-            .layer_cache
-            .read()
-            .expect("layer cache poisoned")
-            .get(&key)
-        {
-            return hit.clone();
+        memoized(&self.layer_cache, key, || {
+            if gp.seq == 1 {
+                let base = self.decode_base(gp)?;
+                self.decode_layer(&base, gp)
+            } else {
+                self.ops_cost(&graph::layer_forward_ops(&self.model, gp), gp.precision)
+            }
+        })
+    }
+
+    /// The context-independent base of `gp`'s decode layer, memoized on
+    /// `(batch, tp, precision)`.
+    fn decode_base(&self, gp: &GraphParams) -> Result<Arc<DecodeBase>, HwError> {
+        let key = (gp.batch, gp.tp, gp.precision);
+        memoized(&self.decode_cache, key, || self.cost_decode_base(gp))
+    }
+
+    /// Costs every operator of `gp`'s decode layer once, at the first
+    /// context.
+    fn cost_decode_base(&self, gp: &GraphParams) -> Result<DecodeBase, HwError> {
+        let first = GraphParams::decode(gp.batch, 1, gp.tp, gp.precision);
+        let ops = graph::layer_forward_ops(&self.model, &first);
+        let costs = ops
+            .iter()
+            .map(|op| op.cost(&self.roofline, gp.precision))
+            .collect::<Result<_, _>>()?;
+        Ok(DecodeBase { ops, costs })
+    }
+
+    /// One decode layer at `gp`'s context: the base's kernel costs for
+    /// every operator the context leaves unchanged, a fresh cost for the
+    /// rest, filed in the original operator order so every `f64` sum is
+    /// the one a full re-cost of the layer computes.
+    fn decode_layer(&self, base: &DecodeBase, gp: &GraphParams) -> Result<StepCost, HwError> {
+        let ops = graph::layer_forward_ops(&self.model, gp);
+        assert_eq!(
+            ops.len(),
+            base.ops.len(),
+            "decode layer operator lists must not change length with the context"
+        );
+        let mut step = StepCost::default();
+        for ((op, base_op), base_cost) in ops.iter().zip(&base.ops).zip(&base.costs) {
+            if op == base_op {
+                step.add(op, base_cost);
+            } else {
+                step.add(op, &op.cost(&self.roofline, gp.precision)?);
+            }
         }
-        let computed = self
-            .ops_cost(&graph::layer_forward_ops(&self.model, gp), gp.precision)
-            .map(Arc::new);
-        self.layer_cache
-            .write()
-            .expect("layer cache poisoned")
-            .entry(key)
-            .or_insert_with(|| computed.clone());
-        computed
+        Ok(step)
     }
 
     /// The embedding + LM-head stage for the pass described by `gp`,
@@ -473,25 +531,16 @@ impl<'a> PreparedInferenceEstimator<'a> {
     /// these ops, so every decode step shares one entry.
     fn extra_cost(&self, gp: &GraphParams) -> Result<Arc<StepCost>, HwError> {
         let key = (gp.batch, gp.seq, gp.tp, gp.precision);
-        if let Some(hit) = self
-            .extra_cache
-            .read()
-            .expect("extra cache poisoned")
-            .get(&key)
-        {
-            return hit.clone();
-        }
+        memoized(&self.extra_cache, key, || self.cost_extra(gp))
+    }
+
+    /// Costs the embedding + LM-head stage for the pass described by `gp`.
+    fn cost_extra(&self, gp: &GraphParams) -> Result<StepCost, HwError> {
         let ops: Vec<Op> = graph::embedding_ops(&self.model, gp)
             .into_iter()
             .chain(graph::head_ops(&self.model, gp))
             .collect();
-        let computed = self.ops_cost(&ops, gp.precision).map(Arc::new);
-        self.extra_cache
-            .write()
-            .expect("extra cache poisoned")
-            .entry(key)
-            .or_insert_with(|| computed.clone());
-        computed
+        self.ops_cost(&ops, gp.precision)
     }
 
     /// Costs an operator list, accumulating each kernel's time into the
@@ -499,31 +548,31 @@ impl<'a> PreparedInferenceEstimator<'a> {
     fn ops_cost(&self, ops: &[Op], precision: Precision) -> Result<StepCost, HwError> {
         let mut total = StepCost::default();
         for op in ops {
-            let cost = self.op_cost(op, precision)?;
-            accumulate(&mut total.bd, &cost);
-            total.flops += cost.flops;
-            total.dram += cost.dram_traffic();
-            if let OpKind::Gemm(_) = op.kind {
-                total.gemms.push(GemmAnalysis {
-                    role: op.role,
-                    time: cost.total(),
-                    bound: cost.bound(),
-                });
-            }
+            total.add(op, &op.cost(&self.roofline, precision)?);
         }
         Ok(total)
     }
+}
 
-    fn op_cost(&self, op: &Op, precision: Precision) -> Result<KernelCost, HwError> {
-        match op.kind {
-            OpKind::Gemm(g) => self.roofline.batched_gemm(g, precision),
-            OpKind::Eltwise(e) => Ok(self.roofline.eltwise(e)),
-            OpKind::Flash(fa) => {
-                self.roofline
-                    .custom_kernel("flash-attention", fa.flops(), &fa.traffic(), precision)
-            }
-        }
+/// Looks `key` up in `table`, computing and publishing it on a miss. The
+/// value is computed outside the lock, so the table stays available to
+/// other threads meanwhile; values are pure functions of their keys, so a
+/// racing duplicate computation produces the identical value.
+fn memoized<K: Eq + Hash, V>(
+    table: &MemoTable<K, V>,
+    key: K,
+    compute: impl FnOnce() -> Result<V, HwError>,
+) -> Result<Arc<V>, HwError> {
+    if let Some(hit) = table.read().expect("memo table poisoned").get(&key) {
+        return hit.clone();
     }
+    let computed = compute().map(Arc::new);
+    table
+        .write()
+        .expect("memo table poisoned")
+        .entry(key)
+        .or_insert_with(|| computed.clone());
+    computed
 }
 
 /// Adds `scale` copies of `src` kernel categories into `dst`
@@ -532,18 +581,6 @@ fn add_scaled(dst: &mut InferenceBreakdown, src: &InferenceBreakdown, scale: f64
     dst.compute += src.compute * scale;
     dst.memory += src.memory * scale;
     dst.overhead += src.overhead * scale;
-}
-
-/// Files one kernel's roofline time under its bound type, and its fixed
-/// overhead under `overhead`.
-fn accumulate(bd: &mut InferenceBreakdown, cost: &KernelCost) {
-    let t = cost.roofline_time();
-    if cost.bound().is_compute() {
-        bd.compute += t;
-    } else {
-        bd.memory += t;
-    }
-    bd.overhead += cost.overhead;
 }
 
 #[cfg(test)]
@@ -762,27 +799,202 @@ mod tests {
         );
     }
 
-    /// All decode steps of one point share a single embedding/head entry,
-    /// so the extra cache stays tiny while the layer cache holds one entry
-    /// per distinct context length.
+    /// All decode steps of one point share a single embedding/head entry
+    /// and a single decode layer base: the one-shot loop re-costs its
+    /// attention core per context instead of filling a per-context layer
+    /// entry, so the key count no longer grows with `generate`.
     #[test]
     fn decode_steps_share_the_head_entry() {
         let cluster = presets::dgx_a100_hdr_cluster();
-        let generate = 16;
-        let prepared = PreparedInferenceEstimator::new(
-            &cluster,
-            Arc::new(models::llama2_7b()),
-            1,
-            100,
-            generate,
-        );
+        let prepared =
+            PreparedInferenceEstimator::new(&cluster, Arc::new(models::llama2_7b()), 1, 100, 16);
         prepared.estimate(1, Precision::Fp16).unwrap();
-        // Layer entries: 1 prefill + `generate` decode contexts; extra
-        // entries: 1 prefill + 1 decode.
+        // Layer entries: 1 prefill; decode bases: 1; extra entries:
+        // 1 prefill + 1 decode.
         let after_one = prepared.cached_keys();
-        assert_eq!(after_one, (1 + generate) + 2);
+        assert_eq!(after_one, 1 + 1 + 2);
         // A second estimate at the same point adds nothing.
         prepared.estimate(1, Precision::Fp16).unwrap();
         assert_eq!(prepared.cached_keys(), after_one);
+    }
+
+    /// The pre-factoring one-shot estimate: every decode step re-costs the
+    /// whole layer and the head stage, and the decode GEMM table is
+    /// re-costed at the final context. The oracle for [`Self::estimate`].
+    fn full_recost_estimate(
+        prepared: &PreparedInferenceEstimator<'_>,
+        tp: usize,
+        precision: Precision,
+    ) -> InferenceReport {
+        let (batch, prefill, generate) = (prepared.batch, prepared.prefill, prepared.generate);
+        let model = &prepared.model;
+        let layer_cost = |gp: &GraphParams| {
+            prepared
+                .ops_cost(&graph::layer_forward_ops(model, gp), precision)
+                .unwrap()
+        };
+        let extra_cost = |gp: &GraphParams| {
+            let ops: Vec<Op> = graph::embedding_ops(model, gp)
+                .into_iter()
+                .chain(graph::head_ops(model, gp))
+                .collect();
+            prepared.ops_cost(&ops, precision).unwrap()
+        };
+        let plan = CommPlan::new(
+            prepared.cluster,
+            Parallelism::tensor_parallel(tp),
+            prepared.comm,
+        );
+        let layers = model.layers as f64;
+
+        let pre_params = GraphParams::prefill(batch, prefill, tp, precision);
+        let mut prefill_bd = InferenceBreakdown::default();
+        let mut device_flops = FlopCount::ZERO;
+        let mut dram_traffic = Bytes::ZERO;
+        let mut network_traffic = Bytes::ZERO;
+        let pre_layer = layer_cost(&pre_params);
+        add_scaled(&mut prefill_bd, &pre_layer.bd, layers);
+        device_flops += pre_layer.flops * layers;
+        dram_traffic += pre_layer.dram * layers;
+        let pre_volume = Bytes::new((batch * prefill * model.hidden) as f64 * precision.bytes());
+        prefill_bd.communication += plan.tp_layer_inference(pre_volume) * layers;
+        network_traffic += plan.tp_layer_forward_wire_bytes(pre_volume) * layers;
+        let pre_extra = extra_cost(&pre_params);
+        add_scaled(&mut prefill_bd, &pre_extra.bd, 1.0);
+        device_flops += pre_extra.flops;
+        dram_traffic += pre_extra.dram;
+        let prefill_time = prefill_bd.total();
+
+        let mut decode_bd = InferenceBreakdown::default();
+        let volume = Bytes::new((batch * model.hidden) as f64 * precision.bytes());
+        for step in 0..generate {
+            let dp = GraphParams::decode(batch, prefill + step, tp, precision);
+            let layer = layer_cost(&dp);
+            add_scaled(&mut decode_bd, &layer.bd, layers);
+            device_flops += layer.flops * layers;
+            dram_traffic += layer.dram * layers;
+            decode_bd.communication += plan.tp_layer_inference(volume) * layers;
+            network_traffic += plan.tp_layer_forward_wire_bytes(volume) * layers;
+            let extra = extra_cost(&dp);
+            add_scaled(&mut decode_bd, &extra.bd, 1.0);
+            device_flops += extra.flops;
+            dram_traffic += extra.dram;
+        }
+        let decode_time = decode_bd.total();
+
+        let mut breakdown = prefill_bd;
+        add_scaled(&mut breakdown, &decode_bd, 1.0);
+        breakdown.communication = prefill_bd.communication + decode_bd.communication;
+        let final_ctx = GraphParams::decode(batch, prefill + generate - 1, tp, precision);
+        InferenceReport {
+            total: prefill_time + decode_time,
+            prefill: prefill_time,
+            decode: decode_time,
+            per_token: decode_time / generate as f64,
+            breakdown,
+            prefill_breakdown: prefill_bd,
+            memory: inference_memory(model, batch, prefill + generate, tp, precision),
+            prefill_gemms: pre_layer.gemms,
+            decode_gemms: layer_cost(&final_ctx).gemms,
+            device_flops,
+            dram_traffic,
+            network_traffic,
+        }
+    }
+
+    /// Every `f64` of a report, as bits.
+    fn report_bits(r: &InferenceReport) -> Vec<u64> {
+        let bd = |b: &InferenceBreakdown| {
+            [b.compute, b.memory, b.communication, b.overhead].map(|t| t.secs().to_bits())
+        };
+        let mut bits = vec![
+            r.total.secs().to_bits(),
+            r.prefill.secs().to_bits(),
+            r.decode.secs().to_bits(),
+            r.per_token.secs().to_bits(),
+            r.device_flops.get().to_bits(),
+            r.dram_traffic.bytes().to_bits(),
+            r.network_traffic.bytes().to_bits(),
+        ];
+        bits.extend(bd(&r.breakdown));
+        bits.extend(bd(&r.prefill_breakdown));
+        bits.extend(
+            r.prefill_gemms
+                .iter()
+                .chain(&r.decode_gemms)
+                .map(|g| g.time.secs().to_bits()),
+        );
+        bits
+    }
+
+    /// Oracle for the kv-factored decode loop: over MHA (llama2-13b), GQA
+    /// (llama2-70b) and a LayerNorm / dropout model (gpt-7b), batch 1 and
+    /// 4, TP 1, 2 and 8, and 1 or 200 generated tokens, `estimate` equals
+    /// the full per-context re-cost bit for bit.
+    #[test]
+    fn factored_decode_loop_matches_the_full_recost_bit_for_bit() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        for model in [models::llama2_13b(), models::llama2_70b(), models::gpt_7b()] {
+            let model = Arc::new(model);
+            for batch in [1, 4] {
+                for generate in [1, 200] {
+                    let prepared = PreparedInferenceEstimator::new(
+                        &cluster,
+                        Arc::clone(&model),
+                        batch,
+                        200,
+                        generate,
+                    );
+                    for tp in [1, 2, 8] {
+                        let fast = prepared.estimate(tp, Precision::Fp16).unwrap();
+                        let reference = full_recost_estimate(&prepared, tp, Precision::Fp16);
+                        let what = format!("{} batch={batch} gen={generate} tp={tp}", model.name);
+                        assert_eq!(report_bits(&fast), report_bits(&reference), "{what}");
+                        assert_eq!(fast, reference, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Oracle for `decode_iteration`'s miss path: on a cold estimator, on
+    /// a warm decode base with a new context, and on a memo hit, it equals
+    /// the full-layer `ops_cost(layer_forward_ops)` re-cost bit for bit.
+    #[test]
+    fn cold_decode_iteration_matches_the_full_layer_recost() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        for model in [models::llama2_13b(), models::llama2_70b(), models::gpt_7b()] {
+            let model = Arc::new(model);
+            for tp in [1, 2, 8] {
+                for batch in [1, 4] {
+                    let serving =
+                        PreparedInferenceEstimator::for_serving(&cluster, Arc::clone(&model));
+                    let plan =
+                        CommPlan::new(&cluster, Parallelism::tensor_parallel(tp), CommModel::Auto);
+                    let layers = model.layers as f64;
+                    for kv in [1, 37, 4000, 37] {
+                        let gp = GraphParams::decode(batch, kv, tp, Precision::Fp16);
+                        let layer = serving
+                            .ops_cost(&graph::layer_forward_ops(&model, &gp), Precision::Fp16)
+                            .unwrap();
+                        let extra = serving.cost_extra(&gp).unwrap();
+                        let volume =
+                            Bytes::new((batch * model.hidden) as f64 * Precision::Fp16.bytes());
+                        let reference = layer.bd.total() * layers
+                            + plan.tp_layer_inference(volume) * layers
+                            + extra.bd.total();
+                        let fast = serving
+                            .decode_iteration(batch, kv, tp, Precision::Fp16)
+                            .unwrap();
+                        assert_eq!(
+                            fast.secs().to_bits(),
+                            reference.secs().to_bits(),
+                            "{} tp={tp} batch={batch} kv={kv}",
+                            model.name
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -109,10 +109,10 @@ impl FlashAttentionOp {
     }
 
     /// The `(level, volume)` pairs consumed by
-    /// [`optimus_roofline::RooflineModel::custom_kernel`].
+    /// [`optimus_roofline::RooflineModel::custom_kernel`], inner → outer.
     #[must_use]
-    pub fn traffic(&self) -> Vec<(MemoryLevelKind, Bytes)> {
-        vec![
+    pub fn traffic(&self) -> [(MemoryLevelKind, Bytes); 2] {
+        [
             (MemoryLevelKind::L2, self.l2_traffic()),
             (MemoryLevelKind::Dram, self.dram_traffic()),
         ]

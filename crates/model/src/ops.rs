@@ -1,7 +1,8 @@
 //! Typed operators of the transformer task graph.
 
 use crate::FlashAttentionOp;
-use optimus_roofline::{BatchedGemm, EltwiseOp, GemmShape};
+use optimus_hw::{HwError, Precision};
+use optimus_roofline::{BatchedGemm, EltwiseOp, GemmShape, KernelCost, RooflineModel};
 use optimus_units::FlopCount;
 use serde::{Deserialize, Serialize};
 
@@ -174,6 +175,25 @@ impl Op {
             OpKind::Gemm(g) => g.flops(),
             OpKind::Eltwise(e) => e.flops(),
             OpKind::Flash(f) => f.flops(),
+        }
+    }
+
+    /// The operator's kernel cost on `roofline`, with GEMMs at `precision`
+    /// (streaming ops already carry their element widths).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HwError::UnsupportedPrecision`] if the device has no peak
+    /// throughput entry for `precision`.
+    pub fn cost(
+        &self,
+        roofline: &RooflineModel<'_>,
+        precision: Precision,
+    ) -> Result<KernelCost, HwError> {
+        match self.kind {
+            OpKind::Gemm(g) => roofline.batched_gemm(g, precision),
+            OpKind::Eltwise(e) => Ok(roofline.eltwise(e)),
+            OpKind::Flash(fa) => roofline.custom_kernel(fa.flops(), &fa.traffic(), precision),
         }
     }
 

@@ -45,17 +45,70 @@ impl core::fmt::Display for BoundType {
     }
 }
 
+/// Capacity of [`LevelTimes`]: one row per [`MemoryLevelKind`].
+const MAX_LEVELS: usize = 4;
+
+/// Per-level `(level, traffic, transfer time)` rows of one kernel, ordered
+/// inner → outer and stored inline, so costing a kernel allocates nothing.
+/// Dereferences to the slice of its rows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LevelTimes {
+    len: usize,
+    rows: [(MemoryLevelKind, Bytes, Time); MAX_LEVELS],
+}
+
+impl LevelTimes {
+    /// No rows.
+    #[must_use]
+    pub const fn new() -> Self {
+        Self {
+            len: 0,
+            rows: [(MemoryLevelKind::Dram, Bytes::ZERO, Time::ZERO); MAX_LEVELS],
+        }
+    }
+
+    /// Appends the next-outer level's row.
+    ///
+    /// # Panics
+    ///
+    /// Panics past one row per [`MemoryLevelKind`]: a memory hierarchy
+    /// holds each level at most once.
+    pub fn push(&mut self, row: (MemoryLevelKind, Bytes, Time)) {
+        assert!(
+            self.len < MAX_LEVELS,
+            "a kernel has at most one traffic row per memory level"
+        );
+        self.rows[self.len] = row;
+        self.len += 1;
+    }
+}
+
+impl Default for LevelTimes {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl core::ops::Deref for LevelTimes {
+    type Target = [(MemoryLevelKind, Bytes, Time)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.rows[..self.len]
+    }
+}
+
 /// The cost breakdown of one kernel as predicted by the roofline model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A plain `Copy` value: the kernel's identity stays with the caller's
+/// operator, so costing a kernel neither formats a label nor allocates.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelCost {
-    /// Optional kernel label (e.g. `"QKV projection"`).
-    pub name: String,
     /// Total floating-point work.
     pub flops: FlopCount,
     /// Pure arithmetic time at the derated peak.
     pub compute_time: Time,
     /// Per-level `(level, traffic, transfer time)`, ordered inner → outer.
-    pub level_times: Vec<(MemoryLevelKind, Bytes, Time)>,
+    pub level_times: LevelTimes,
     /// Fixed software overhead added on top.
     pub overhead: Time,
 }
@@ -63,12 +116,11 @@ pub struct KernelCost {
 impl KernelCost {
     /// A zero-cost kernel (useful as an additive identity).
     #[must_use]
-    pub fn free(name: impl Into<String>) -> Self {
+    pub fn free() -> Self {
         Self {
-            name: name.into(),
             flops: FlopCount::ZERO,
             compute_time: Time::ZERO,
-            level_times: Vec::new(),
+            level_times: LevelTimes::new(),
             overhead: Time::ZERO,
         }
     }
@@ -102,7 +154,7 @@ impl KernelCost {
         }
         let mut bound = BoundType::Compute;
         let mut best = self.compute_time;
-        for &(kind, _, t) in &self.level_times {
+        for &(kind, _, t) in self.level_times.iter() {
             if t > best {
                 best = t;
                 bound = BoundType::Memory(kind);
@@ -135,35 +187,6 @@ impl KernelCost {
             .map(|&(_, _, t)| t)
             .fold(Time::ZERO, Time::max)
     }
-
-    /// Convenience view used by the bound-type breakdown figures: the pair
-    /// `(compute_time, memory_time)` of the kernel.
-    #[must_use]
-    pub fn split(&self) -> (Time, Time) {
-        (self.compute_time, self.memory_time())
-    }
-}
-
-/// The `bound` field shown in reports; kept as a method-produced value, but
-/// re-exported as a serializable snapshot for tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct KernelSummary {
-    /// Kernel label.
-    pub name: String,
-    /// Predicted total time.
-    pub time: Time,
-    /// Bound classification.
-    pub bound: BoundType,
-}
-
-impl From<&KernelCost> for KernelSummary {
-    fn from(cost: &KernelCost) -> Self {
-        Self {
-            name: cost.name.clone(),
-            time: cost.total(),
-            bound: cost.bound(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -171,15 +194,16 @@ mod tests {
     use super::*;
 
     fn cost(compute_ms: f64, dram_ms: f64, overhead_ms: f64) -> KernelCost {
+        let mut level_times = LevelTimes::new();
+        level_times.push((
+            MemoryLevelKind::Dram,
+            Bytes::from_mib(1.0),
+            Time::from_millis(dram_ms),
+        ));
         KernelCost {
-            name: "test".into(),
             flops: FlopCount::from_giga(1.0),
             compute_time: Time::from_millis(compute_ms),
-            level_times: vec![(
-                MemoryLevelKind::Dram,
-                Bytes::from_mib(1.0),
-                Time::from_millis(dram_ms),
-            )],
+            level_times,
             overhead: Time::from_millis(overhead_ms),
         }
     }

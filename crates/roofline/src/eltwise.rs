@@ -8,7 +8,7 @@
 //! intermediate values on chip, which is modeled by fusing ops into one
 //! [`EltwiseOp`] with a single read and write of the stream.
 
-use crate::{KernelCost, RooflineModel};
+use crate::{KernelCost, LevelTimes, RooflineModel};
 use optimus_hw::MemoryLevelKind;
 use optimus_units::{Bytes, FlopCount, Time};
 use serde::{Deserialize, Serialize};
@@ -148,22 +148,7 @@ impl RooflineModel<'_> {
     /// bound by construction.
     #[must_use]
     pub fn eltwise(&self, op: EltwiseOp) -> KernelCost {
-        let calib = &self.device().calibration;
-        let traffic = op.traffic();
-        let util = calib.dram_utilization.factor(traffic);
-        let bw = self.device().dram.bandwidth * util.get();
-        let time = if bw.get() > 0.0 {
-            traffic / bw
-        } else {
-            Time::ZERO
-        };
-        KernelCost {
-            name: format!("{} x{:.0}", op.kind, op.elements),
-            flops: op.flops(),
-            compute_time: Time::ZERO,
-            level_times: vec![(MemoryLevelKind::Dram, traffic, time)],
-            overhead: calib.kernel_overhead,
-        }
+        self.streaming(op.flops(), op.traffic())
     }
 
     /// Costs a chain of element-wise kernels fused into one pass: the
@@ -172,25 +157,24 @@ impl RooflineModel<'_> {
     #[must_use]
     pub fn fused_eltwise(&self, ops: &[EltwiseOp]) -> KernelCost {
         let Some(first) = ops.first() else {
-            return KernelCost::free("fused (empty)");
+            return KernelCost::free();
         };
         let stream = Bytes::new(first.elements * first.bytes_per_elem * 2.0);
         let extra = Bytes::new(ops.iter().map(|o| o.extra_bytes).sum::<f64>());
-        let traffic = stream + extra;
-        let calib = &self.device().calibration;
-        let util = calib.dram_utilization.factor(traffic);
-        let bw = self.device().dram.bandwidth * util.get();
-        let time = if bw.get() > 0.0 {
-            traffic / bw
-        } else {
-            Time::ZERO
-        };
+        let flops = FlopCount::new(ops.iter().map(|o| o.flops().get()).sum());
+        self.streaming(flops, stream + extra)
+    }
+
+    /// A kernel that only streams `traffic` through DRAM.
+    fn streaming(&self, flops: FlopCount, traffic: Bytes) -> KernelCost {
+        let time = self.transfer_time(MemoryLevelKind::Dram, self.device().dram.bandwidth, traffic);
+        let mut level_times = LevelTimes::new();
+        level_times.push((MemoryLevelKind::Dram, traffic, time));
         KernelCost {
-            name: format!("fused x{}", ops.len()),
-            flops: FlopCount::new(ops.iter().map(|o| o.flops().get()).sum()),
+            flops,
             compute_time: Time::ZERO,
-            level_times: vec![(MemoryLevelKind::Dram, traffic, time)],
-            overhead: calib.kernel_overhead,
+            level_times,
+            overhead: self.device().calibration.kernel_overhead,
         }
     }
 }

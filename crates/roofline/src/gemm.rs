@@ -1,6 +1,6 @@
 //! The hierarchical roofline engine.
 
-use crate::{blocked_traffic, choose_tile, BatchedGemm, GemmShape, KernelCost};
+use crate::{blocked_traffic, choose_tile, BatchedGemm, GemmShape, KernelCost, LevelTimes};
 use optimus_hw::{Accelerator, HwError, MemoryLevelKind, Precision};
 use optimus_units::{Bytes, Ratio, Time};
 use serde::{Deserialize, Serialize};
@@ -106,24 +106,17 @@ impl<'a> RooflineModel<'a> {
         gemm: BatchedGemm,
         precision: Precision,
     ) -> Result<KernelCost, HwError> {
-        let peak = self.device.peak(precision)?;
-        let calib = &self.device.calibration;
         let bytes_per_elem = precision.bytes();
         let shape = gemm.shape;
         let batch = gemm.batch as f64;
 
         // --- compute time ---------------------------------------------
-        let quant = self.tile_quantization(shape);
-        let eff = calib.gemm_peak_fraction.get() * quant.get();
         let flops = gemm.flops();
-        let compute_time = if eff > 0.0 {
-            flops / (peak * eff)
-        } else {
-            Time::ZERO
-        };
+        let quant = self.tile_quantization(shape);
+        let compute_time = self.compute_time(flops, precision, quant.get())?;
 
         // --- memory time per hierarchy level ---------------------------
-        let mut level_times = Vec::with_capacity(self.device.on_chip.len() + 1);
+        let mut level_times = LevelTimes::new();
         for level in self.device.hierarchy() {
             let blocking_capacity = self.blocking_capacity(level.kind, level.capacity);
             // Traffic crossing *into* this level is governed by tiles that
@@ -133,25 +126,15 @@ impl<'a> RooflineModel<'a> {
             // innermost on-chip level is its own per-unit capacity.
             let tile = choose_tile(shape, blocking_capacity, bytes_per_elem);
             let traffic = blocked_traffic(shape, tile, bytes_per_elem) * batch;
-            let util = match level.kind {
-                MemoryLevelKind::Dram => calib.dram_utilization.factor(traffic),
-                _ => calib.onchip_utilization,
-            };
-            let bw = level.bandwidth * util.get();
-            let time = if bw.get() > 0.0 {
-                traffic / bw
-            } else {
-                Time::ZERO
-            };
+            let time = self.transfer_time(level.kind, level.bandwidth, traffic);
             level_times.push((level.kind, traffic, time));
         }
 
         Ok(KernelCost {
-            name: format!("gemm {gemm}"),
             flops,
             compute_time,
             level_times,
-            overhead: calib.kernel_overhead,
+            overhead: self.device.calibration.kernel_overhead,
         })
     }
 
@@ -169,45 +152,71 @@ impl<'a> RooflineModel<'a> {
     ///
     /// Returns [`HwError::UnsupportedPrecision`] if the device has no peak
     /// throughput entry for `precision`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `traffic` names more levels than [`LevelTimes`] holds
+    /// (one per [`MemoryLevelKind`]).
     pub fn custom_kernel(
         &self,
-        name: impl Into<String>,
         flops: optimus_units::FlopCount,
         traffic: &[(MemoryLevelKind, Bytes)],
         precision: Precision,
     ) -> Result<KernelCost, HwError> {
-        let peak = self.device.peak(precision)?;
-        let calib = &self.device.calibration;
-        let eff = calib.gemm_peak_fraction.get();
-        let compute_time = if eff > 0.0 {
-            flops / (peak * eff)
-        } else {
-            Time::ZERO
-        };
-        let mut level_times = Vec::with_capacity(traffic.len());
+        let compute_time = self.compute_time(flops, precision, 1.0)?;
+        let mut level_times = LevelTimes::new();
         for &(kind, volume) in traffic {
             let Some(level) = self.device.level(kind) else {
                 continue;
             };
-            let util = match kind {
-                MemoryLevelKind::Dram => calib.dram_utilization.factor(volume),
-                _ => calib.onchip_utilization,
-            };
-            let bw = level.bandwidth * util.get();
-            let time = if bw.get() > 0.0 {
-                volume / bw
-            } else {
-                Time::ZERO
-            };
+            let time = self.transfer_time(kind, level.bandwidth, volume);
             level_times.push((kind, volume, time));
         }
         Ok(KernelCost {
-            name: name.into(),
             flops,
             compute_time,
             level_times,
-            overhead: calib.kernel_overhead,
+            overhead: self.device.calibration.kernel_overhead,
         })
+    }
+
+    /// Arithmetic time of `flops` at the calibrated GEMM peak fraction of
+    /// `precision`'s peak, further derated by `efficiency`.
+    fn compute_time(
+        &self,
+        flops: optimus_units::FlopCount,
+        precision: Precision,
+        efficiency: f64,
+    ) -> Result<Time, HwError> {
+        let peak = self.device.peak(precision)?;
+        let eff = self.device.calibration.gemm_peak_fraction.get() * efficiency;
+        Ok(if eff > 0.0 {
+            flops / (peak * eff)
+        } else {
+            Time::ZERO
+        })
+    }
+
+    /// Transfer time of `traffic` across a level of `kind` over its
+    /// `bandwidth`, derated by the calibrated utilization (size-dependent
+    /// for DRAM).
+    pub(crate) fn transfer_time(
+        &self,
+        kind: MemoryLevelKind,
+        bandwidth: optimus_units::Bandwidth,
+        traffic: Bytes,
+    ) -> Time {
+        let calib = &self.device.calibration;
+        let util = match kind {
+            MemoryLevelKind::Dram => calib.dram_utilization.factor(traffic),
+            _ => calib.onchip_utilization,
+        };
+        let bw = bandwidth * util.get();
+        if bw.get() > 0.0 {
+            traffic / bw
+        } else {
+            Time::ZERO
+        }
     }
 
     /// Tile-quantization efficiency: fraction of the matmul macro-tiles'

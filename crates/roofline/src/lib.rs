@@ -18,6 +18,10 @@
 //! utilization factor (§4.1) derates the achievable bandwidth exactly as the
 //! paper's clustered factors do.
 //!
+//! A [`KernelCost`] is a plain `Copy` value with its per-level rows held
+//! inline ([`LevelTimes`]): it carries no label, since callers already
+//! know which operator they costed, so pricing a kernel allocates nothing.
+//!
 //! ```
 //! use optimus_hw::{presets, Precision};
 //! use optimus_roofline::{GemmShape, RooflineModel};
@@ -41,7 +45,7 @@ mod gemm;
 mod shape;
 mod tiling;
 
-pub use cost::{BoundType, KernelCost, KernelSummary};
+pub use cost::{BoundType, KernelCost, LevelTimes};
 pub use eltwise::{EltwiseKind, EltwiseOp};
 pub use gemm::{RooflineConfig, RooflineModel};
 pub use shape::{BatchedGemm, GemmShape};

@@ -65,23 +65,28 @@ impl OpsCost {
 
 /// Total device time, FLOPs, and DRAM traffic of an operator list at the
 /// given GEMM precision (streaming ops already carry their element widths).
+/// With a `split`, every GEMM's time is also filed under its bound type
+/// (Fig. 7) from the same roofline pass.
 pub(crate) fn ops_cost(
     roofline: &RooflineModel<'_>,
     ops: &[Op],
     precision: Precision,
+    mut split: Option<&mut GemmBoundSplit>,
 ) -> Result<OpsCost, TrainError> {
     let mut total = OpsCost::default();
     for op in ops {
-        let cost = match op.kind {
-            OpKind::Gemm(g) => roofline.batched_gemm(g, precision)?,
-            OpKind::Eltwise(e) => roofline.eltwise(e),
-            OpKind::Flash(fa) => {
-                roofline.custom_kernel("flash-attention", fa.flops(), &fa.traffic(), precision)?
-            }
-        };
-        total.time += cost.total();
+        let cost = op.cost(roofline, precision)?;
+        let time = cost.total();
+        total.time += time;
         total.flops += cost.flops;
         total.dram += cost.dram_traffic();
+        if let (OpKind::Gemm(_), Some(split)) = (op.kind, split.as_deref_mut()) {
+            if cost.bound().is_compute() {
+                split.compute_bound += time;
+            } else {
+                split.memory_bound += time;
+            }
+        }
     }
     Ok(total)
 }
@@ -492,16 +497,20 @@ impl<'a> PreparedTrainingEstimator<'a> {
             .with_sp(sp)
             .with_flash(self.flash);
 
+        // Each forward and backward GEMM is filed into the per-layer bound
+        // split (Fig. 7) as it is costed.
+        let mut gemm_split = GemmBoundSplit::default();
         let fwd_ops = graph::layer_forward_ops(&self.model, &gp);
         let bwd_ops = graph::layer_backward_ops(&self.model, &gp);
-        let fwd = ops_cost(&self.roofline, &fwd_ops, precision)?;
-        let bwd = ops_cost(&self.roofline, &bwd_ops, precision)?;
+        let fwd = ops_cost(&self.roofline, &fwd_ops, precision, Some(&mut gemm_split))?;
+        let bwd = ops_cost(&self.roofline, &bwd_ops, precision, Some(&mut gemm_split))?;
         let recompute = match self.recompute {
             RecomputeMode::None => OpsCost::default(),
             RecomputeMode::Selective => ops_cost(
                 &self.roofline,
                 &graph::selective_recompute_ops(&self.model, &gp),
                 precision,
+                None,
             )?,
             // Full recomputation replays the whole forward pass.
             RecomputeMode::Full { .. } => fwd,
@@ -513,20 +522,7 @@ impl<'a> PreparedTrainingEstimator<'a> {
             .into_iter()
             .chain(graph::head_ops(&self.model, &gp))
             .collect();
-        let emb_head = ops_cost(&self.roofline, &emb_head_ops, precision)?.scaled(3.0);
-
-        // Per-layer GEMM bound split (Fig. 7).
-        let mut gemm_split = GemmBoundSplit::default();
-        for op in fwd_ops.iter().chain(bwd_ops.iter()) {
-            if let OpKind::Gemm(g) = op.kind {
-                let cost = self.roofline.batched_gemm(g, precision)?;
-                if cost.bound().is_compute() {
-                    gemm_split.compute_bound += cost.total();
-                } else {
-                    gemm_split.memory_bound += cost.total();
-                }
-            }
-        }
+        let emb_head = ops_cost(&self.roofline, &emb_head_ops, precision, None)?.scaled(3.0);
 
         // TP/SP collectives see only (tp, sp) and the microbatch activation
         // volume, so they memoize under the same key. DP/PP terms are
@@ -612,6 +608,67 @@ mod tests {
                 .unwrap();
             let fast = prepared.estimate(p, Precision::Fp16).unwrap();
             assert_eq!(one_shot, fast, "tp={tp} pp={pp}");
+        }
+    }
+
+    /// Oracle for the single-pass bound split: `layer_gemm_split` must
+    /// equal, bit for bit, a second `batched_gemm` pass over the layer's
+    /// forward and backward GEMMs that classifies each by bound type,
+    /// under every recomputation mode with the flash kernel on and off.
+    #[test]
+    fn gemm_split_matches_a_recosting_reference() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let roofline = RooflineModel::new(cluster.accelerator());
+        let precision = Precision::Fp16;
+        let (batch, seq) = (8, 2048);
+        let p = Parallelism::new(1, 2, 1).with_sp(true).with_microbatch(2);
+        for model in [models::llama2_13b(), models::gpt_7b()] {
+            let model = Arc::new(model);
+            for recompute in [
+                RecomputeMode::None,
+                RecomputeMode::Selective,
+                RecomputeMode::Full {
+                    checkpoints_per_stage: None,
+                },
+            ] {
+                for flash in [false, true] {
+                    let report =
+                        PreparedTrainingEstimator::new(&cluster, Arc::clone(&model), batch, seq)
+                            .with_recompute(recompute)
+                            .with_flash(flash)
+                            .estimate(p, precision)
+                            .unwrap();
+                    let gp = GraphParams::prefill(p.microbatch, seq, p.tp, precision)
+                        .with_sp(p.sp)
+                        .with_flash(flash);
+                    let mut reference = GemmBoundSplit::default();
+                    let fwd = graph::layer_forward_ops(&model, &gp);
+                    let bwd = graph::layer_backward_ops(&model, &gp);
+                    for op in fwd.iter().chain(&bwd) {
+                        if let OpKind::Gemm(g) = op.kind {
+                            let cost = roofline.batched_gemm(g, precision).unwrap();
+                            if cost.bound().is_compute() {
+                                reference.compute_bound += cost.total();
+                            } else {
+                                reference.memory_bound += cost.total();
+                            }
+                        }
+                    }
+                    let split = report.layer_gemm_split;
+                    let what = format!("{} {recompute:?} flash={flash}", model.name);
+                    assert!(reference.compute_bound.secs() > 0.0, "{what}");
+                    assert_eq!(
+                        split.compute_bound.secs().to_bits(),
+                        reference.compute_bound.secs().to_bits(),
+                        "{what}"
+                    );
+                    assert_eq!(
+                        split.memory_bound.secs().to_bits(),
+                        reference.memory_bound.secs().to_bits(),
+                        "{what}"
+                    );
+                }
+            }
         }
     }
 
