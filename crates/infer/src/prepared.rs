@@ -20,7 +20,7 @@ use optimus_hw::{ClusterSpec, HwError, Precision};
 use optimus_memory::{inference_memory, InferenceMemoryReport};
 use optimus_model::{graph, GraphParams, ModelConfig, Op, OpKind};
 use optimus_parallel::{CommPlan, Parallelism};
-use optimus_roofline::{KernelCost, RooflineModel};
+use optimus_roofline::{BoundType, KernelCost, RooflineModel};
 use optimus_units::{Bytes, FlopCount, Time};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -39,40 +39,64 @@ struct StepCost {
 }
 
 impl StepCost {
-    /// Files one operator's kernel: its roofline time under its bound
-    /// type, its fixed overhead under `overhead`, its volumes, and (for a
-    /// GEMM) its analysis row.
-    fn add(&mut self, op: &Op, cost: &KernelCost) {
-        let t = cost.roofline_time();
-        if cost.bound().is_compute() {
-            self.bd.compute += t;
+    /// Files one kernel: its roofline time under its bound type, its fixed
+    /// overhead under `overhead`, and its volumes.
+    fn file(&mut self, kernel: &Filed) {
+        if kernel.bound.is_compute() {
+            self.bd.compute += kernel.roofline;
         } else {
-            self.bd.memory += t;
+            self.bd.memory += kernel.roofline;
         }
-        self.bd.overhead += cost.overhead;
-        self.flops += cost.flops;
-        self.dram += cost.dram_traffic();
+        self.bd.overhead += kernel.overhead;
+        self.flops += kernel.flops;
+        self.dram += kernel.dram;
+    }
+
+    /// [`Self::file`]s one operator's kernel and, for a GEMM, records its
+    /// analysis row.
+    fn add(&mut self, op: &Op, kernel: &Filed) {
+        self.file(kernel);
         if let OpKind::Gemm(_) = op.kind {
             self.gemms.push(GemmAnalysis {
                 role: op.role,
-                time: cost.total(),
-                bound: cost.bound(),
+                time: kernel.roofline + kernel.overhead,
+                bound: kernel.bound,
             });
         }
     }
 }
 
+/// The terms of one kernel's [`KernelCost`] that a [`StepCost`] files,
+/// a third of its size: decode layer bases hold one per operator.
+#[derive(Debug, Clone, Copy)]
+struct Filed {
+    roofline: Time,
+    overhead: Time,
+    flops: FlopCount,
+    dram: Bytes,
+    bound: BoundType,
+}
+
+impl From<KernelCost> for Filed {
+    fn from(cost: KernelCost) -> Self {
+        Self {
+            roofline: cost.roofline_time(),
+            overhead: cost.overhead,
+            flops: cost.flops,
+            dram: cost.dram_traffic(),
+            bound: cost.bound(),
+        }
+    }
+}
+
 /// The context-independent part of one decode layer at a `(batch, tp,
-/// precision)`: its operators at a representative context and their
-/// kernel costs. Under decode only the attention core (`AttnScores`,
+/// precision)`: its operators at a representative context, each with its
+/// kernel cost. Under decode only the attention core (`AttnScores`,
 /// `Softmax`, the optional `AttnDropout`, `AttnOverValues`) reads the
 /// context, so [`PreparedInferenceEstimator::decode_layer`] re-costs only
 /// those operators per context and reuses every other cost from here.
 #[derive(Debug)]
-struct DecodeBase {
-    ops: Vec<Op>,
-    costs: Vec<KernelCost>,
-}
+struct DecodeBase(Vec<(Op, Filed)>);
 
 /// Memo key of one transformer layer's kernels: `(batch, seq, kv_len, tp,
 /// precision)`. `seq` is the prompt length for prefill and 1 for a
@@ -277,8 +301,8 @@ impl<'a> PreparedInferenceEstimator<'a> {
         let mut decode_gemms = Vec::new();
         for step in 0..self.generate {
             let ctx = self.prefill + step;
-            let layer =
-                self.decode_layer(&base, &GraphParams::decode(self.batch, ctx, tp, precision))?;
+            let dp = GraphParams::decode(self.batch, ctx, tp, precision);
+            let layer = self.decode_layer(&base, &dp, step + 1 == self.generate)?;
             add_scaled(&mut decode_bd, &layer.bd, layers);
             device_flops += layer.flops * layers;
             dram_traffic += layer.dram * layers;
@@ -453,8 +477,8 @@ impl<'a> PreparedInferenceEstimator<'a> {
             // leaves the memo tables untouched.
             let base = self.cost_decode_base(&first)?;
             for &kv_len in kv_grid.values() {
-                let layer =
-                    self.decode_layer(&base, &GraphParams::decode(batch, kv_len, tp, precision))?;
+                let gp = GraphParams::decode(batch, kv_len, tp, precision);
+                let layer = self.decode_layer(&base, &gp, false)?;
                 // Identical expression (and f64 evaluation order) to
                 // `decode_iteration`, so exact-grid entries match it
                 // bit-for-bit.
@@ -478,7 +502,7 @@ impl<'a> PreparedInferenceEstimator<'a> {
         memoized(&self.layer_cache, key, || {
             if gp.seq == 1 {
                 let base = self.decode_base(gp)?;
-                self.decode_layer(&base, gp)
+                self.decode_layer(&base, gp, false)
             } else {
                 self.ops_cost(&graph::layer_forward_ops(&self.model, gp), gp.precision)
             }
@@ -496,31 +520,44 @@ impl<'a> PreparedInferenceEstimator<'a> {
     /// context.
     fn cost_decode_base(&self, gp: &GraphParams) -> Result<DecodeBase, HwError> {
         let first = GraphParams::decode(gp.batch, 1, gp.tp, gp.precision);
-        let ops = graph::layer_forward_ops(&self.model, &first);
-        let costs = ops
-            .iter()
-            .map(|op| op.cost(&self.roofline, gp.precision))
-            .collect::<Result<_, _>>()?;
-        Ok(DecodeBase { ops, costs })
+        graph::layer_forward_ops(&self.model, &first)
+            .into_iter()
+            .map(|op| Ok((op, op.cost(&self.roofline, gp.precision)?.into())))
+            .collect::<Result<_, _>>()
+            .map(DecodeBase)
     }
 
     /// One decode layer at `gp`'s context: the base's kernel costs for
     /// every operator the context leaves unchanged, a fresh cost for the
     /// rest, filed in the original operator order so every `f64` sum is
-    /// the one a full re-cost of the layer computes.
-    fn decode_layer(&self, base: &DecodeBase, gp: &GraphParams) -> Result<StepCost, HwError> {
+    /// the one a full re-cost of the layer computes. The GEMM analysis
+    /// rows are recorded only with `gemm_rows`, so memoized decode entries
+    /// hold none.
+    fn decode_layer(
+        &self,
+        base: &DecodeBase,
+        gp: &GraphParams,
+        gemm_rows: bool,
+    ) -> Result<StepCost, HwError> {
         let ops = graph::layer_forward_ops(&self.model, gp);
         assert_eq!(
             ops.len(),
-            base.ops.len(),
+            base.0.len(),
             "decode layer operator lists must not change length with the context"
         );
         let mut step = StepCost::default();
-        for ((op, base_op), base_cost) in ops.iter().zip(&base.ops).zip(&base.costs) {
-            if op == base_op {
-                step.add(op, base_cost);
+        for (op, (base_op, base_cost)) in ops.iter().zip(&base.0) {
+            let fresh;
+            let cost = if op == base_op {
+                base_cost
             } else {
-                step.add(op, &op.cost(&self.roofline, gp.precision)?);
+                fresh = op.cost(&self.roofline, gp.precision)?.into();
+                &fresh
+            };
+            if gemm_rows {
+                step.add(op, cost);
+            } else {
+                step.file(cost);
             }
         }
         Ok(step)
@@ -548,7 +585,7 @@ impl<'a> PreparedInferenceEstimator<'a> {
     fn ops_cost(&self, ops: &[Op], precision: Precision) -> Result<StepCost, HwError> {
         let mut total = StepCost::default();
         for op in ops {
-            total.add(op, &op.cost(&self.roofline, precision)?);
+            total.add(op, &op.cost(&self.roofline, precision)?.into());
         }
         Ok(total)
     }
