@@ -50,7 +50,7 @@ const MAX_LEVELS: usize = 4;
 
 /// Per-level `(level, traffic, transfer time)` rows of one kernel, ordered
 /// inner → outer and stored inline, so costing a kernel allocates nothing.
-/// Dereferences to the slice of its rows.
+/// Dereferences to the slice of its rows; the roofline model fills them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LevelTimes {
     len: usize,
@@ -59,8 +59,7 @@ pub struct LevelTimes {
 
 impl LevelTimes {
     /// No rows.
-    #[must_use]
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self {
             len: 0,
             rows: [(MemoryLevelKind::Dram, Bytes::ZERO, Time::ZERO); MAX_LEVELS],
@@ -73,19 +72,13 @@ impl LevelTimes {
     ///
     /// Panics past one row per [`MemoryLevelKind`]: a memory hierarchy
     /// holds each level at most once.
-    pub fn push(&mut self, row: (MemoryLevelKind, Bytes, Time)) {
+    pub(crate) fn push(&mut self, row: (MemoryLevelKind, Bytes, Time)) {
         assert!(
             self.len < MAX_LEVELS,
             "a kernel has at most one traffic row per memory level"
         );
         self.rows[self.len] = row;
         self.len += 1;
-    }
-}
-
-impl Default for LevelTimes {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
