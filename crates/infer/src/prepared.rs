@@ -27,9 +27,9 @@ use std::hash::Hash;
 use std::sync::{Arc, RwLock};
 
 /// Cost of one operator list: bound-type time breakdown, the
-/// energy-relevant volumes, and the per-GEMM analysis rows (memoized with
-/// the rest so warm points never re-cost a GEMM). Cached behind an [`Arc`]
-/// so warm lookups clone a pointer, not the rows.
+/// energy-relevant volumes, and — when costed in full by
+/// [`PreparedInferenceEstimator::ops_cost`] — the per-GEMM analysis rows.
+/// Cached behind an [`Arc`] so warm lookups clone a pointer, not the rows.
 #[derive(Debug, Clone, Default)]
 struct StepCost {
     bd: InferenceBreakdown,
@@ -50,19 +50,6 @@ impl StepCost {
         self.bd.overhead += kernel.overhead;
         self.flops += kernel.flops;
         self.dram += kernel.dram;
-    }
-
-    /// [`Self::file`]s one operator's kernel and, for a GEMM, records its
-    /// analysis row.
-    fn add(&mut self, op: &Op, kernel: &Filed) {
-        self.file(kernel);
-        if let OpKind::Gemm(_) = op.kind {
-            self.gemms.push(GemmAnalysis {
-                role: op.role,
-                time: kernel.roofline + kernel.overhead,
-                bound: kernel.bound,
-            });
-        }
     }
 }
 
@@ -95,8 +82,7 @@ impl From<KernelCost> for Filed {
 /// `Softmax`, the optional `AttnDropout`, `AttnOverValues`) reads the
 /// context, so [`PreparedInferenceEstimator::decode_layer`] re-costs only
 /// those operators per context and reuses every other cost from here.
-#[derive(Debug)]
-struct DecodeBase(Vec<(Op, Filed)>);
+type DecodeBase = Vec<(Op, Filed)>;
 
 /// Memo key of one transformer layer's kernels: `(batch, seq, kv_len, tp,
 /// precision)`. `seq` is the prompt length for prefill and 1 for a
@@ -298,11 +284,10 @@ impl<'a> PreparedInferenceEstimator<'a> {
         let first = GraphParams::decode(self.batch, 1, tp, precision);
         let base = self.decode_base(&first)?;
         let extra = self.extra_cost(&first)?;
-        let mut decode_gemms = Vec::new();
         for step in 0..self.generate {
             let ctx = self.prefill + step;
             let dp = GraphParams::decode(self.batch, ctx, tp, precision);
-            let layer = self.decode_layer(&base, &dp, step + 1 == self.generate)?;
+            let layer = self.decode_layer(&base, &dp)?;
             add_scaled(&mut decode_bd, &layer.bd, layers);
             device_flops += layer.flops * layers;
             dram_traffic += layer.dram * layers;
@@ -312,10 +297,13 @@ impl<'a> PreparedInferenceEstimator<'a> {
             add_scaled(&mut decode_bd, &extra.bd, 1.0);
             device_flops += extra.flops;
             dram_traffic += extra.dram;
-            // The report's decode GEMM table is the final context's.
-            decode_gemms = layer.gemms;
         }
         let decode_time = decode_bd.total();
+        // The report's decode GEMM table is the final context's.
+        let last = GraphParams::decode(self.batch, self.prefill + self.generate - 1, tp, precision);
+        let decode_gemms = self
+            .ops_cost(&graph::layer_forward_ops(&self.model, &last), precision)?
+            .gemms;
         let per_token = decode_time / self.generate as f64;
 
         // --- totals ---------------------------------------------------------
@@ -478,7 +466,7 @@ impl<'a> PreparedInferenceEstimator<'a> {
             let base = self.cost_decode_base(&first)?;
             for &kv_len in kv_grid.values() {
                 let gp = GraphParams::decode(batch, kv_len, tp, precision);
-                let layer = self.decode_layer(&base, &gp, false)?;
+                let layer = self.decode_layer(&base, &gp)?;
                 // Identical expression (and f64 evaluation order) to
                 // `decode_iteration`, so exact-grid entries match it
                 // bit-for-bit.
@@ -495,14 +483,16 @@ impl<'a> PreparedInferenceEstimator<'a> {
 
     /// One transformer layer's kernels for the pass described by `gp`,
     /// memoized on `(batch, seq, kv_len, tp, precision)`. A decode miss
-    /// (`seq == 1`) re-costs only the attention core against the memoized
-    /// [`DecodeBase`].
+    /// past the first context (`seq == 1`, `kv_len > 1`) re-costs only the
+    /// attention core against the memoized [`DecodeBase`] and records no
+    /// GEMM rows; every other shape, a one-token prompt included, is
+    /// costed in full with its rows.
     fn layer_cost(&self, gp: &GraphParams) -> Result<Arc<StepCost>, HwError> {
         let key = (gp.batch, gp.seq, gp.kv_len, gp.tp, gp.precision);
         memoized(&self.layer_cache, key, || {
-            if gp.seq == 1 {
+            if gp.seq == 1 && gp.kv_len > 1 {
                 let base = self.decode_base(gp)?;
-                self.decode_layer(&base, gp, false)
+                self.decode_layer(&base, gp)
             } else {
                 self.ops_cost(&graph::layer_forward_ops(&self.model, gp), gp.precision)
             }
@@ -523,41 +513,23 @@ impl<'a> PreparedInferenceEstimator<'a> {
         graph::layer_forward_ops(&self.model, &first)
             .into_iter()
             .map(|op| Ok((op, op.cost(&self.roofline, gp.precision)?.into())))
-            .collect::<Result<_, _>>()
-            .map(DecodeBase)
+            .collect()
     }
 
     /// One decode layer at `gp`'s context: the base's kernel costs for
     /// every operator the context leaves unchanged, a fresh cost for the
     /// rest, filed in the original operator order so every `f64` sum is
-    /// the one a full re-cost of the layer computes. The GEMM analysis
-    /// rows are recorded only with `gemm_rows`, so memoized decode entries
-    /// hold none.
-    fn decode_layer(
-        &self,
-        base: &DecodeBase,
-        gp: &GraphParams,
-        gemm_rows: bool,
-    ) -> Result<StepCost, HwError> {
+    /// the one a full re-cost of the layer computes. No GEMM analysis rows
+    /// are recorded, so memoized decode entries hold none.
+    fn decode_layer(&self, base: &DecodeBase, gp: &GraphParams) -> Result<StepCost, HwError> {
         let ops = graph::layer_forward_ops(&self.model, gp);
-        assert_eq!(
-            ops.len(),
-            base.0.len(),
-            "decode layer operator lists must not change length with the context"
-        );
+        assert_eq!(ops.len(), base.len(), "op count changed with the context");
         let mut step = StepCost::default();
-        for (op, (base_op, base_cost)) in ops.iter().zip(&base.0) {
-            let fresh;
-            let cost = if op == base_op {
-                base_cost
+        for (op, (base_op, base_cost)) in ops.iter().zip(base) {
+            if op == base_op {
+                step.file(base_cost);
             } else {
-                fresh = op.cost(&self.roofline, gp.precision)?.into();
-                &fresh
-            };
-            if gemm_rows {
-                step.add(op, cost);
-            } else {
-                step.file(cost);
+                step.file(&op.cost(&self.roofline, gp.precision)?.into());
             }
         }
         Ok(step)
@@ -585,7 +557,15 @@ impl<'a> PreparedInferenceEstimator<'a> {
     fn ops_cost(&self, ops: &[Op], precision: Precision) -> Result<StepCost, HwError> {
         let mut total = StepCost::default();
         for op in ops {
-            total.add(op, &op.cost(&self.roofline, precision)?.into());
+            let kernel: Filed = op.cost(&self.roofline, precision)?.into();
+            total.file(&kernel);
+            if let OpKind::Gemm(_) = op.kind {
+                total.gemms.push(GemmAnalysis {
+                    role: op.role,
+                    time: kernel.roofline + kernel.overhead,
+                    bound: kernel.bound,
+                });
+            }
         }
         Ok(total)
     }
@@ -966,32 +946,62 @@ mod tests {
 
     /// Oracle for the kv-factored decode loop: over MHA (llama2-13b), GQA
     /// (llama2-70b) and a LayerNorm / dropout model (gpt-7b), batch 1 and
-    /// 4, TP 1, 2 and 8, and 1 or 200 generated tokens, `estimate` equals
-    /// the full per-context re-cost bit for bit.
+    /// 4, a one- or 200-token prompt, TP 1, 2 and 8, and 1 or 200
+    /// generated tokens, `estimate` equals the full per-context re-cost
+    /// bit for bit. A one-token prompt's prefill layer has the shape of
+    /// the first decode context, so it pins that the prefill GEMM table
+    /// survives the decode factoring.
     #[test]
     fn factored_decode_loop_matches_the_full_recost_bit_for_bit() {
         let cluster = presets::dgx_a100_hdr_cluster();
         for model in [models::llama2_13b(), models::llama2_70b(), models::gpt_7b()] {
             let model = Arc::new(model);
             for batch in [1, 4] {
-                for generate in [1, 200] {
+                for (prefill, generate) in [(1, 1), (1, 200), (200, 1), (200, 200)] {
                     let prepared = PreparedInferenceEstimator::new(
                         &cluster,
                         Arc::clone(&model),
                         batch,
-                        200,
+                        prefill,
                         generate,
                     );
                     for tp in [1, 2, 8] {
                         let fast = prepared.estimate(tp, Precision::Fp16).unwrap();
                         let reference = full_recost_estimate(&prepared, tp, Precision::Fp16);
-                        let what = format!("{} batch={batch} gen={generate} tp={tp}", model.name);
+                        let what = format!(
+                            "{} batch={batch} prefill={prefill} gen={generate} tp={tp}",
+                            model.name
+                        );
                         assert_eq!(report_bits(&fast), report_bits(&reference), "{what}");
                         assert_eq!(fast, reference, "{what}");
                     }
                 }
             }
         }
+    }
+
+    /// A one-token prompt is priced through the same layer entry as the
+    /// first decode context, a shape the decode factoring also covers;
+    /// its report must still list every prefill and decode GEMM, and in
+    /// either order of filling the memo.
+    #[test]
+    fn one_token_prompt_reports_its_gemms() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let model = Arc::new(models::llama2_13b());
+        let gp = GraphParams::prefill(1, 1, 1, Precision::Fp16);
+        assert_eq!(gp, GraphParams::decode(1, 1, 1, Precision::Fp16));
+        let gemms = graph::layer_forward_ops(&model, &gp)
+            .iter()
+            .filter(|op| matches!(op.kind, OpKind::Gemm(_)))
+            .count();
+        assert!(gemms > 0);
+        let prepared = PreparedInferenceEstimator::new(&cluster, Arc::clone(&model), 1, 1, 4);
+        // Fill the `(batch, 1, 1, tp, precision)` layer entry through the
+        // serving decode path first.
+        prepared.decode_iteration(1, 1, 1, Precision::Fp16).unwrap();
+        let report = prepared.estimate(1, Precision::Fp16).unwrap();
+        assert_eq!(report.prefill_gemms.len(), gemms);
+        assert_eq!(report.decode_gemms.len(), gemms);
     }
 
     /// Oracle for `decode_iteration`'s miss path: on a cold estimator, on

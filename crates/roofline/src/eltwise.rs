@@ -170,12 +170,7 @@ impl RooflineModel<'_> {
         let time = self.transfer_time(MemoryLevelKind::Dram, self.device().dram.bandwidth, traffic);
         let mut level_times = LevelTimes::new();
         level_times.push((MemoryLevelKind::Dram, traffic, time));
-        KernelCost {
-            flops,
-            compute_time: Time::ZERO,
-            level_times,
-            overhead: self.device().calibration.kernel_overhead,
-        }
+        self.kernel(flops, Time::ZERO, level_times)
     }
 }
 

@@ -129,13 +129,7 @@ impl<'a> RooflineModel<'a> {
             let time = self.transfer_time(level.kind, level.bandwidth, traffic);
             level_times.push((level.kind, traffic, time));
         }
-
-        Ok(KernelCost {
-            flops,
-            compute_time,
-            level_times,
-            overhead: self.device.calibration.kernel_overhead,
-        })
+        Ok(self.kernel(flops, compute_time, level_times))
     }
 
     /// Costs a kernel described directly by its arithmetic work and its
@@ -172,12 +166,23 @@ impl<'a> RooflineModel<'a> {
             let time = self.transfer_time(kind, level.bandwidth, volume);
             level_times.push((kind, volume, time));
         }
-        Ok(KernelCost {
+        Ok(self.kernel(flops, compute_time, level_times))
+    }
+
+    /// A kernel of the given roofline terms plus the device's fixed
+    /// per-kernel overhead.
+    pub(crate) fn kernel(
+        &self,
+        flops: optimus_units::FlopCount,
+        compute_time: Time,
+        level_times: LevelTimes,
+    ) -> KernelCost {
+        KernelCost {
             flops,
             compute_time,
             level_times,
             overhead: self.device.calibration.kernel_overhead,
-        })
+        }
     }
 
     /// Arithmetic time of `flops` at the calibrated GEMM peak fraction of
