@@ -523,7 +523,11 @@ impl<'a> PreparedInferenceEstimator<'a> {
     /// are recorded, so memoized decode entries hold none.
     fn decode_layer(&self, base: &DecodeBase, gp: &GraphParams) -> Result<StepCost, HwError> {
         let ops = graph::layer_forward_ops(&self.model, gp);
-        assert_eq!(ops.len(), base.len(), "op count changed with the context");
+        assert_eq!(
+            ops.len(),
+            base.len(),
+            "decode layer operator lists must not change length with the context"
+        );
         let mut step = StepCost::default();
         for (op, (base_op, base_cost)) in ops.iter().zip(base) {
             if op == base_op {
@@ -980,10 +984,10 @@ mod tests {
         }
     }
 
-    /// A one-token prompt is priced through the same layer entry as the
-    /// first decode context, a shape the decode factoring also covers;
-    /// its report must still list every prefill and decode GEMM, and in
-    /// either order of filling the memo.
+    /// A one-token prompt is priced through the same layer entry as a
+    /// serving decode iteration at context 1; its report must still list
+    /// every prefill and decode GEMM when that iteration filled the entry
+    /// first.
     #[test]
     fn one_token_prompt_reports_its_gemms() {
         let cluster = presets::dgx_a100_hdr_cluster();
