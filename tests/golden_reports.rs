@@ -60,6 +60,15 @@
 //!   reference's) at TP 2 and 8; Fig 7 every node's
 //!   `TrainingReport::layer_gemm_split` for the three HBM panels.
 //!
+//! * **Disabled-sentinel fixtures** (`fleet_degraded_stragglers.json`,
+//!   `fleet_disabled_domain.json`, `load_sweep_degraded.json`), captured
+//!   at commit `627772a` — before two of the three report sanitizers
+//!   were deleted — pin how a report echoes a fault spec whose crash
+//!   process or domain is disabled by an infinite MTBF: it reads
+//!   `mtbf_s: 0.0` and `mttr_s: 0.0`, never `null`. Every other faulted
+//!   fixture has crashes on, so these are the only ones that reach that
+//!   normalization.
+//!
 //! Each test replays the exact invocation that produced its fixture
 //! in-process, compares the pretty JSON byte-for-byte, and checks that
 //! parsing the fixture and re-serializing it gives the fixture back.
@@ -69,6 +78,7 @@ use optimus::hw::nettech::{self, NvlinkGen};
 use optimus::hw::{presets, ClusterSpec, NodeSpec};
 use optimus::memory::RecomputeMode;
 use optimus::model::presets as models;
+use optimus::prelude::Precision;
 use optimus::prelude::{refdata, Bandwidth, InferenceConfig, InferenceEstimator, InferenceReport};
 use optimus::prelude::{
     CheckpointSpec, Parallelism, PipelineSchedule, TrainingConfig, TrainingEstimator,
@@ -78,8 +88,9 @@ use optimus::tech::{TechNode, UArchEngine};
 use optimus::train::GemmBoundSplit;
 use optimus_experiments::{fig7, fig9};
 use optimus_serve::{
-    simulate, simulate_fleet, ArrivalProcess, FaultSpec, FleetConfig, KvSpec, LengthDist,
-    PrefixSpec, RouterPolicy, Scheduler, ServeConfig, TraceSpec,
+    load_sweep, simulate, simulate_fleet, ArrivalProcess, FaultDomain, FaultSpec, FleetConfig,
+    KvSpec, LengthDist, LoadStrategy, LoadSweepSpec, PrefixSpec, RouterPolicy, Scheduler,
+    ServeConfig, SloSpec, TraceSpec,
 };
 use optimus_sweep::{SweepEngine, SweepSpace, Workload};
 use serde::de::DeserializeOwned;
@@ -301,6 +312,95 @@ fn weibull_fleet_report_is_byte_identical_to_the_fixture() {
         .as_ref()
         .is_some_and(|f| !f.process.is_exponential()));
     assert_golden(&report, "fleet_weibull.json");
+}
+
+/// `serve --model llama2-7b --tp 1 --replicas 2 --requests 50 --rate 20
+/// --prompt 50:150 --output 2:16 --seed 47 --degrade 3 --stragglers
+/// 0.5:2 --fault-seed 1 --json` — no crash process (`mtbf_s = ∞`), a
+/// flat 3× degradation and one straggler replica.
+#[test]
+fn degraded_straggler_fleet_report_is_byte_identical_to_the_fixture() {
+    let mut faults = FaultSpec::none()
+        .with_degradation(3.0)
+        .with_stragglers(0.5, 2.0);
+    faults.seed = 1;
+    let config = FleetConfig {
+        replicas: 2,
+        router: RouterPolicy::RoundRobin,
+        replica: ServeConfig::new(1),
+        faults: faults.clone(),
+    };
+    let report = simulate_fleet(
+        &presets::dgx_a100_hdr_cluster(),
+        Arc::new(models::llama2_7b()),
+        &config,
+        &trace(47, 50, 20.0, (50, 150), (2, 16)),
+    )
+    .unwrap();
+    assert!(!faults.has_outages() && (0..2).any(|r| faults.slow_mult(r) > 3.0));
+    assert!(report.faults.as_ref().is_some_and(|f| f.mtbf_s == 0.0));
+    assert_golden(&report, "fleet_degraded_stragglers.json");
+}
+
+/// A library-only spec (the CLI builds only active domains): a 2-replica
+/// fleet with no per-replica crashes, a disabled domain over replica 0
+/// (`mtbf_s = ∞`) and an active one over replica 1.
+#[test]
+fn disabled_domain_fleet_report_is_byte_identical_to_the_fixture() {
+    let mut faults = FaultSpec::none()
+        .with_domain(FaultDomain::new(vec![0], f64::INFINITY, 5.0))
+        .with_domain(FaultDomain::new(vec![1], 4.0, 1.5));
+    faults.seed = 9;
+    let config = FleetConfig {
+        replicas: 2,
+        router: RouterPolicy::RoundRobin,
+        replica: ServeConfig::new(1),
+        faults,
+    };
+    let report = simulate_fleet(
+        &presets::dgx_a100_hdr_cluster(),
+        Arc::new(models::llama2_7b()),
+        &config,
+        &trace(53, 50, 20.0, (50, 150), (2, 16)),
+    )
+    .unwrap();
+    let echoed = report.faults.as_ref().unwrap();
+    assert_eq!(echoed.domains[0].mtbf_s, 0.0);
+    assert!(echoed.domains[1].is_active() && report.availability.crashes > 0);
+    assert_golden(&report, "fleet_disabled_domain.json");
+}
+
+/// `load-sweep --model llama2-7b --tp-list 1,2 --replicas-list 1,2
+/// --requests 40 --rates 2,16 --prompt 50:200 --output 4:24 --seed 59 --degrade 2
+/// --json` — every cell under a degradation-only spec (`mtbf_s = ∞`).
+#[test]
+fn degraded_load_sweep_report_is_byte_identical_to_the_fixture() {
+    let strategies = [1, 2]
+        .into_iter()
+        .flat_map(|tp| {
+            [1, 2].map(|replicas| LoadStrategy::single(tp, Precision::Fp16).with_replicas(replicas))
+        })
+        .collect();
+    let spec = LoadSweepSpec {
+        seed: 59,
+        requests: 40,
+        prompt: LengthDist::Uniform { lo: 50, hi: 200 },
+        output: LengthDist::Uniform { lo: 4, hi: 24 },
+        rates: vec![2.0, 16.0],
+        strategies,
+        slo: SloSpec::default(),
+        router: RouterPolicy::RoundRobin,
+        faults: Some(FaultSpec::none().with_degradation(2.0)),
+        prefixes: None,
+        priority_classes: 1,
+    };
+    let report = load_sweep(
+        &presets::dgx_a100_hdr_cluster(),
+        &Arc::new(models::llama2_7b()),
+        &spec,
+    );
+    assert!(report.faults.as_ref().is_some_and(|f| f.mtbf_s == 0.0));
+    assert_golden(&report, "load_sweep_degraded.json");
 }
 
 /// `train --model llama2-13b --cluster a100-hdr --batch 64 --seq 2048
