@@ -3,8 +3,8 @@
 //! Each `tableN`/`figN` module exposes a `run()` returning structured rows
 //! and a `render()` producing the human-readable table, so the same code
 //! backs the CLI binaries (`cargo run -p optimus-experiments --bin table1`),
-//! the Criterion benches, and the integration tests. `run_all` regenerates
-//! everything and writes CSV files under `results/`.
+//! the `perfbench` benchmark, and the integration tests. `run_all`
+//! regenerates everything and writes CSV files under `results/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,5 +1,5 @@
 //! Smoke tests over every experiment generator (Fig. 6's full DSE sweep is
-//! exercised by its binary and bench; here we only touch one point).
+//! exercised by its binary and the benchmark; here we only touch one point).
 
 use optimus_experiments as exp;
 
