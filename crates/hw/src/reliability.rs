@@ -102,23 +102,6 @@ impl FailureProcess {
         }
     }
 
-    /// A copy safe to embed in JSON reports: non-finite shape or rack-MTBF
-    /// sentinels are normalized to `0` (the vendored JSON writer emits
-    /// `null` for non-finite numbers, and reports must stay null-free).
-    #[must_use]
-    pub fn json_safe(self) -> Self {
-        match self {
-            Self::Weibull { shape } if !shape.is_finite() => Self::Weibull { shape: 0.0 },
-            Self::RackCorrelated { racks, rack_mtbf_s } if !rack_mtbf_s.is_finite() => {
-                Self::RackCorrelated {
-                    racks,
-                    rack_mtbf_s: 0.0,
-                }
-            }
-            other => other,
-        }
-    }
-
     /// The cluster-level mean time between job-stopping failures for
     /// `gpus` devices whose individual mean lifetime is `mtbf_s`:
     ///
@@ -292,27 +275,12 @@ mod tests {
         }
         .validate()
         .is_err());
-    }
-
-    #[test]
-    fn json_safe_zeroes_non_finite_sentinels() {
-        let w = FailureProcess::Weibull {
-            shape: f64::INFINITY,
+        assert!(FailureProcess::RackCorrelated {
+            racks: 4,
+            rack_mtbf_s: f64::INFINITY
         }
-        .json_safe();
-        assert_eq!(w, FailureProcess::Weibull { shape: 0.0 });
-        let r = FailureProcess::RackCorrelated {
-            racks: 2,
-            rack_mtbf_s: f64::INFINITY,
-        }
-        .json_safe();
-        assert_eq!(
-            r,
-            FailureProcess::RackCorrelated {
-                racks: 2,
-                rack_mtbf_s: 0.0
-            }
-        );
+        .validate()
+        .is_err());
     }
 
     #[test]

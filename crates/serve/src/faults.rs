@@ -349,7 +349,9 @@ impl FaultSpec {
 
     /// A copy safe to embed in JSON reports: a disabled crash process —
     /// per replica or per domain — is normalized to `mtbf_s = 0` (JSON
-    /// cannot carry `∞`; `0` and `∞` both mean "never crashes").
+    /// has no `∞` and writers emit `null` for it; `0` and `∞` both mean
+    /// "never crashes"). Every other field of a spec that passes
+    /// [`FaultSpec::validate`] is finite already.
     #[must_use]
     pub fn json_safe(mut self) -> Self {
         if !self.has_crashes() {
@@ -362,7 +364,6 @@ impl FaultSpec {
                 domain.mttr_s = 0.0;
             }
         }
-        self.process = self.process.json_safe();
         self
     }
 

@@ -1121,6 +1121,7 @@ mod tests {
         assert_eq!(slowed.completed, clean.completed);
         assert_eq!(slowed.availability.requeues, 0);
         assert_eq!(slowed.availability.availability, 1.0);
+        assert_json_has_no_nulls(&slowed);
         assert!(
             slowed.e2e.mean > clean.e2e.mean,
             "3× degradation must slow e2e: {} vs {}",

@@ -453,38 +453,6 @@ impl CheckpointSpec {
         Ok(())
     }
 
-    /// A copy safe to embed in JSON reports: a disabled failure process is
-    /// normalized to `mtbf_s = 0` (JSON cannot carry `∞`; `0` and `∞`
-    /// both mean "never fails"), and any non-finite stack parameter is
-    /// normalized to its inert default so the vendored serde never emits
-    /// `null` for them.
-    #[must_use]
-    pub fn json_safe(mut self) -> Self {
-        if !self.has_failures() {
-            self.mtbf_s = 0.0;
-            self.restart_s = 0.0;
-        }
-        self.process = self.process.json_safe();
-        if !self.rewarm_s.is_finite() {
-            self.rewarm_s = 0.0;
-        }
-        if !self.repair_s.is_finite() {
-            self.repair_s = 0.0;
-        }
-        if !self.delta_fraction.is_finite() {
-            self.delta_fraction = DELTA_FRACTION_DEFAULT;
-        }
-        if !self.overhead_util.is_finite() {
-            self.overhead_util = 1.0;
-        }
-        for tier in &mut self.tiers {
-            if tier.interval_s.is_some_and(|s| !s.is_finite()) {
-                tier.interval_s = None;
-            }
-        }
-        self
-    }
-
     /// Prices this spec for one evaluated strategy: `memory` is the
     /// strategy's per-device footprint, `gpus` its device count, and
     /// `time_per_batch` the failure-free batch time. `None` when the
@@ -734,7 +702,7 @@ impl CheckpointSpec {
         };
 
         Some(ResilienceReport {
-            spec: self.clone().json_safe(),
+            spec: self.clone(),
             checkpoint_bytes,
             checkpoint_write,
             interval: Time::from_secs(interval),
@@ -748,7 +716,7 @@ impl CheckpointSpec {
             process: if self.process.is_exponential() {
                 None
             } else {
-                Some(self.process.json_safe())
+                Some(self.process)
             },
             tiers,
             repair_frac: if self.repair_s == 0.0 {
@@ -1070,7 +1038,8 @@ pub struct ElasticReport {
 /// so base reports keep the pre-stack JSON format.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResilienceReport {
-    /// The spec priced into this report (JSON-safe copy).
+    /// The spec priced into this report. A report is only priced for a
+    /// spec with failures, so its MTBF is finite.
     pub spec: CheckpointSpec,
     /// Per-device model state written per checkpoint (parameters +
     /// optimizer moments).
@@ -1273,6 +1242,17 @@ mod tests {
         assert!(base.clone().with_overhead_util(1.2).validate().is_err());
         assert!(base.clone().with_rewarm(f64::NAN).validate().is_err());
         assert!(base.clone().with_repair(-1.0).validate().is_err());
+        assert!(base.clone().with_repair(f64::INFINITY).validate().is_err());
+        assert!(base
+            .clone()
+            .with_tier(CheckpointTier::delta().with_interval(f64::INFINITY))
+            .validate()
+            .is_err());
+        assert!(base
+            .clone()
+            .with_overhead_util(f64::NAN)
+            .validate()
+            .is_err());
         assert!(base
             .clone()
             .with_process(FailureProcess::Weibull { shape: 0.0 })
@@ -1561,7 +1541,7 @@ mod tests {
             .with_seed(9);
         let round = CheckpointSpec::from_value(&full.to_value()).unwrap();
         assert_eq!(round, full);
-        let text = serde_json::to_string(&full.clone().json_safe().to_value()).unwrap();
+        let text = serde_json::to_string(&full.to_value()).unwrap();
         assert!(
             !text.contains("null") || full.interval_s.is_none(),
             "stack fields must never serialize as null: {text}"

@@ -208,26 +208,40 @@ fn basic_specs_keep_their_pre_stack_json() {
     }
 }
 
-/// `json_safe()` scrubs every non-finite corner of a stacked spec, and
-/// the resulting report JSON carries no nulls anywhere but the
-/// documented `interval_s: null` (= Young–Daly auto).
+/// A valid stacked spec's report JSON carries no nulls anywhere but the
+/// documented `interval_s: null` (= Young–Daly auto), and a non-finite
+/// value in any stack field fails validation, so it never reaches a
+/// report.
 #[test]
-fn stacked_spec_json_is_null_free_after_json_safe() {
+fn valid_stacked_spec_json_is_null_free_and_non_finite_stack_values_fail_validation() {
     let memory = anchor_memory();
     let spec = CheckpointSpec::with_mtbf(40_000.0)
         .with_restart(900.0)
         .with_process(FailureProcess::Weibull { shape: 0.7 })
-        .with_tiers(vec![
-            CheckpointTier::peer().with_interval(f64::INFINITY),
-            CheckpointTier::delta(),
-        ])
+        .with_tiers(vec![CheckpointTier::peer(), CheckpointTier::delta()])
         .with_elastic(true)
-        .with_rewarm(f64::NAN)
-        .with_repair(f64::INFINITY)
+        .with_rewarm(45.0)
+        .with_repair(1200.0)
         .with_delta_fraction(0.4)
-        .with_overhead_util(f64::NAN)
-        .json_safe();
-    assert!(spec.validate().is_ok(), "json_safe must leave a valid spec");
+        .with_overhead_util(0.5);
+    assert!(spec.validate().is_ok());
+    for (field, invalid) in [
+        ("rewarm", spec.clone().with_rewarm(f64::NAN)),
+        ("repair", spec.clone().with_repair(f64::INFINITY)),
+        (
+            "tier interval",
+            spec.clone().with_tiers(vec![
+                CheckpointTier::peer().with_interval(f64::INFINITY),
+                CheckpointTier::delta(),
+            ]),
+        ),
+        ("overhead_util", spec.clone().with_overhead_util(f64::NAN)),
+    ] {
+        assert!(
+            invalid.validate().is_err(),
+            "a non-finite {field} must fail validation"
+        );
+    }
     let report = evaluate(&spec, &memory);
     let json = serde_json::to_string_pretty(&report).unwrap();
     let nulls = json.matches("null").count();
